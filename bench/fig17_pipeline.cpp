@@ -20,10 +20,15 @@
  *    (at saturation the deeper queue raises QPS AND lowers p99 — the
  *    same requests finish sooner);
  *  - p99 latency of the x4 fleet under a FIXED offered load (~90 % of
- *    its depth-1 saturation): below saturation the deep queue only
- *    adds in-device waiting (the host reaps results on its next
- *    wakeup), so the tail RISES — queue depth is a knob to open at
- *    saturation, not a free default.
+ *    its depth-1 saturation): the serving loop harvests every
+ *    finished request at each dispatch, and the deeper queue raises
+ *    the fleet's capacity, so the same load queues less and the tail
+ *    DROPS too.
+ *
+ * The "mean depth" column is the time-weighted device occupancy
+ * (ServingResult::meanQueueDepth). Under the §IV-D presend the next
+ * command send overlaps the previous readout, so it can exceed the
+ * ticket depth even at depth 1.
  */
 
 #include <benchmark/benchmark.h>
@@ -137,7 +142,7 @@ runFigure()
                      bench::fmt(r.achievedQps / qpsDepth1, 2) + "x",
                      bench::fmt(
                          static_cast<double>(r.p99.raw()) / 1e3, 1),
-                     bench::fmt(r.meanDepthOnSubmit, 2)});
+                     bench::fmt(r.meanQueueDepth, 2)});
             }
         }
         table.print();
@@ -145,10 +150,9 @@ runFigure()
     }
 
     // Fixed offered load on the x4 fleets: same arrivals, deeper
-    // queue. With the fleet below saturation the pipeline has nothing
-    // to overlap — requests just sit in the device queue and their
-    // results are reaped later, so the tail rises. The win at
-    // saturation above is not free at light load.
+    // queue. Finished requests are harvested at every dispatch, so
+    // depth only adds overlap: the fleet's capacity rises and the
+    // same offered load queues less.
     std::printf("--- Fixed offered load (x4 fleet, 90%% of depth-1 "
                 "saturation) ---\n");
     bench::TextTable tail(
@@ -167,7 +171,7 @@ runFigure()
                  bench::fmt(offered, 0),
                  bench::fmt(static_cast<double>(r.p99.raw()) / 1e3,
                             1),
-                 bench::fmt(r.meanDepthOnSubmit, 2)});
+                 bench::fmt(r.meanQueueDepth, 2)});
         }
     }
     tail.print();
@@ -176,8 +180,8 @@ runFigure()
         "serving loop; cached fleets gain >1.2x at depth >= 4 (the "
         "scatter/gather host window stops serializing the shards); "
         "flat curves where flash is already saturated; and at fixed "
-        "sub-saturation load the deep queue RAISES the tail — depth "
-        "is worth opening only when the device is the bottleneck.\n");
+        "sub-saturation load depth 4 lowers the tail as well, since "
+        "the added capacity leaves the same load less queued.\n");
 }
 
 void

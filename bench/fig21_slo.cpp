@@ -4,9 +4,8 @@
  * control plane. Three readouts on the cached fleets of Fig. 17:
  *
  *  - offered load x queue-depth policy: static depths 1/2/4/8 vs the
- *    adaptive DepthController, all through the eager-completion SLO
- *    loop. Fig. 17 showed no static depth wins everywhere (deep
- *    queues lift saturated QPS but inflate sub-saturation p99); the
+ *    adaptive DepthController, all through the eager-completion
+ *    serving loop. The best static depth moves with the load; the
  *    controller must sit on the best static depth's p99 at EVERY load
  *    point — that is the PASS criterion printed at the end.
  *  - priority classes + deadlines: a premium class (25 % of traffic,
@@ -83,7 +82,6 @@ runPolicy(const model::ModelConfig &cfg, std::uint32_t depth,
     sc.arrivalQps = arrivalQps;
     sc.batchSize = 1;
     sc.numRequests = 160;
-    sc.slo.enabled = true;
     if (depth == 0)
         sc.slo.adaptiveDepth = true; // DepthControllerConfig defaults
     else
@@ -164,7 +162,6 @@ runDeadlineTable(const model::ModelConfig &cfg)
     sc.batchSize = 1;
     sc.numRequests = 160;
     sc.queueDepth = 2;
-    sc.slo.enabled = true;
     workload::ServingClass premium;
     premium.name = "premium";
     premium.share = 1.0;
@@ -229,7 +226,6 @@ runHedged(const model::ModelConfig &cfg, bool hedge, double arrivalQps,
     sc.batchSize = 1;
     sc.numRequests = 160;
     sc.queueDepth = 4;
-    sc.slo.enabled = true;
     const workload::ServingResult r = simulateServing(fleet, gen, sc);
     *hedgesIssued = fleet.hedgesIssued().value();
     *hedgeWins = fleet.hedgeWins().value();

@@ -272,10 +272,4 @@ makeSystem(const std::string &name, const model::ModelConfig &config)
     return ModelCatalog::builtin().make(name, config);
 }
 
-std::vector<std::string>
-allSystemNames()
-{
-    return ModelCatalog::builtin().paperOrderNames();
-}
-
 } // namespace rmssd::catalog

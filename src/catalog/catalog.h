@@ -1,7 +1,6 @@
 /**
  * @file
- * Model + system catalog: the successor of the flat string-keyed
- * `baseline::makeSystem` registry.
+ * Model + system catalog.
  *
  * A ModelCatalog holds two kinds of entries:
  *  - named model specs (`model::ModelConfig`) — the zoo models plus
@@ -13,8 +12,7 @@
  *
  * The paper-name strings ("DRAM", ..., "RM-SSD+part", "RM-SSD x4")
  * are builtin() entries, so every fig02–fig19 golden keeps building
- * byte-identical systems. `baseline::makeSystem` survives as a thin
- * compat shim over builtin().
+ * byte-identical systems.
  */
 
 #ifndef RMSSD_CATALOG_CATALOG_H
@@ -155,9 +153,6 @@ class ModelCatalog
 /** Shorthand for ModelCatalog::builtin().make(name, config). */
 std::unique_ptr<baseline::InferenceSystem>
 makeSystem(const std::string &name, const model::ModelConfig &config);
-
-/** Shorthand for ModelCatalog::builtin().paperOrderNames(). */
-std::vector<std::string> allSystemNames();
 
 } // namespace rmssd::catalog
 

@@ -502,19 +502,7 @@ engine::InferenceOutcome
 TenantFleet::inferTenant(std::size_t i,
                          std::span<const model::Sample> samples)
 {
-    const engine::RequestId id = submitTenant(i, samples);
-    auto completions = drain();
-    for (auto &completion : completions)
-        if (completion.id == id)
-            return std::move(completion.outcome);
-    fatal("fleet request %llu lost in drain",
-          static_cast<unsigned long long>(id));
-}
-
-engine::InferenceOutcome
-TenantFleet::infer(std::span<const model::Sample> samples)
-{
-    return inferTenant(0, samples);
+    return drainFor(submitTenant(i, samples));
 }
 
 engine::RequestId
@@ -539,6 +527,27 @@ TenantFleet::retireNext()
                  "backend retired without a completion");
     finalize(std::move(*completion));
     return true;
+}
+
+Cycle
+TenantFleet::doneCycle(engine::RequestId id) const
+{
+    for (const FleetInflight &entry : inflight_) {
+        if (entry.fleetId == id)
+            return device_->doneCycle(entry.deviceId);
+    }
+    return engine::InferenceDevice::doneCycle(id);
+}
+
+std::uint32_t
+TenantFleet::harvestDoneBy(Cycle when)
+{
+    if (inflight_.empty() || doneCycle(inflight_.front().fleetId) > when)
+        return 0;
+    std::uint32_t retired = 0;
+    while (retireNext())
+        ++retired;
+    return retired;
 }
 
 void

@@ -210,16 +210,22 @@ class TenantFleet : public engine::InferenceDevice
 
     // ---- InferenceDevice contract (tenant 0 = default route) ------
 
-    engine::InferenceOutcome
-    infer(std::span<const model::Sample> samples) override;
     engine::RequestId
     submit(std::span<const model::Sample> samples) override;
     bool retireNext() override;
-    /** Device-side status poll; a host-MLP tail may run past @p when. */
-    bool oldestDoneBy(Cycle when) const override
-    {
-        return hasQueuedCompletion() || device_->oldestDoneBy(when);
-    }
+    /**
+     * In flight: the backend's done cycle for the request (a device
+     * status poll; a host-MLP tail may run past it).
+     */
+    Cycle doneCycle(engine::RequestId id) const override;
+    /**
+     * Reap on the oldest request: once it reads done by @p when, the
+     * host collects the whole queue on that wakeup, blocking on any
+     * younger request still running. Fleet completions finalize in
+     * backend submission order, so a finished request behind an
+     * unfinished older one waits for it.
+     */
+    std::uint32_t harvestDoneBy(Cycle when) override;
     /** Backend's next completion cycle (fleet retires stay FIFO). */
     Cycle nextDoneCycle() const override
     {

@@ -120,11 +120,11 @@ simulateFleetServing(TenantFleet &fleet,
         while (const auto completion = fleet.poll())
             recordCompletion(*completion);
     };
-    // Harvest every request whose status already reads done at `now`:
-    // frees cap slots without blocking the clock on unfinished work.
+    // Reap once the oldest request reads done at `now`
+    // (TenantFleet::harvestDoneBy): frees cap slots without waiting
+    // on an unfinished oldest request.
     const auto harvest = [&](Cycle now) {
-        while (fleet.oldestDoneBy(now) && fleet.retireNext()) {
-        }
+        fleet.harvestDoneBy(now);
         while (const auto completion = fleet.poll())
             recordCompletion(*completion);
     };
@@ -157,7 +157,7 @@ simulateFleetServing(TenantFleet &fleet,
     const auto parkedTenantCount = [&] {
         std::size_t count = 0;
         for (std::uint32_t j = 0; j < n; ++j)
-            count += parked[j].empty() ? 0 : 1;
+            count += parked[j].empty() ? 0u : 1u;
         return count;
     };
     // Issue parked requests in SFQ order while the backend has room

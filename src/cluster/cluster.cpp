@@ -151,7 +151,7 @@ RmSsdCluster::submitResidual(std::span<const model::Sample> samples,
     // before a new one scatters (host backpressure). At depth 1 this
     // reproduces the blocking infer() loop op-for-op.
     while (inflight_.size() >= maxInflight())
-        retireOldest();
+        retireAt(0);
 
     const std::uint32_t numDevices = plan_.numDevices();
     ClusterInflight request;
@@ -268,12 +268,6 @@ RmSsdCluster::submitResidual(std::span<const model::Sample> samples,
 }
 
 void
-RmSsdCluster::retireOldest()
-{
-    retireAt(0);
-}
-
-void
 RmSsdCluster::retireAt(std::size_t pos)
 {
     RMSSD_ASSERT(pos < inflight_.size(), "no request in flight");
@@ -282,21 +276,16 @@ RmSsdCluster::retireAt(std::size_t pos)
                     static_cast<std::ptrdiff_t>(pos));
     const Cycle t0 = request.t0;
 
-    // Gather: pop each participating shard's completion, paired by
-    // sub-request id (PR 5's FIFO pairing is a special case — with
-    // in-order retires and mirrored depths the id-matched completion
-    // IS the shard's oldest, op-for-op). Id pairing is what lets
-    // eager harvests retire out of order and shard queues run at
-    // their own decoupled depth.
+    // Gather: take each participating shard's completion, paired by
+    // sub-request id (with in-order retires and mirrored depths the
+    // id-matched completion IS the shard's oldest, op-for-op). Id
+    // pairing is what lets eager harvests retire out of order and
+    // shard queues run at their own decoupled depth.
     std::vector<engine::InferenceOutcome> partial(plan_.numDevices());
     for (const auto &[d, subId] : request.participants) {
         engine::RmSsd &shard = *shards_[d];
         const std::uint64_t readBefore = shard.hostBytesRead().value();
-        auto completion = shard.pollId(subId);
-        if (!completion) {
-            shard.retireById(subId);
-            completion = shard.pollId(subId);
-        }
+        auto completion = shard.take(subId);
         RMSSD_ASSERT(completion, "shard completion missing");
         hostBytesRead_.inc(shard.hostBytesRead().value() - readBefore);
         partial[d] = std::move(completion->outcome);
@@ -356,9 +345,7 @@ RmSsdCluster::retireAt(std::size_t pos)
         const std::size_t numMb =
             (request.numSamples + mbSize - 1) / mbSize;
         const Cycle gatherSpan = gatherReady - t0;
-        std::size_t mb = 0;
-        for (std::size_t pos = 0; pos < request.numSamples;
-             pos += mbSize, ++mb) {
+        for (std::size_t mb = 0; mb < numMb; ++mb) {
             const Cycle sliceReady =
                 t0 + Cycle{gatherSpan.raw() * (mb + 1) / numMb};
             const Cycle bottomStart =
@@ -481,47 +468,7 @@ RmSsdCluster::retireNext()
 {
     if (inflight_.empty())
         return false;
-    retireOldest();
-    return true;
-}
-
-bool
-RmSsdCluster::requestReadyBy(const ClusterInflight &request,
-                             Cycle when) const
-{
-    const auto subDoneBy = [&](std::uint32_t d) {
-        for (const auto &[pd, subId] : request.participants) {
-            if (pd == d)
-                return shards_[d]->requestDoneBy(subId, when);
-        }
-        return false;
-    };
-    if (request.hedged.empty()) {
-        // Every participant gates; the sub-request is paired by id,
-        // so this holds even after out-of-order retires broke the
-        // per-shard FIFO alignment.
-        for (const auto &[d, subId] : request.participants) {
-            if (!shards_[d]->requestDoneBy(subId, when))
-                return false;
-        }
-        return true;
-    }
-    // Hedged: a table is ready once EITHER serving replica is done.
-    for (std::uint32_t g = 0; g < config_.numTables; ++g) {
-        if (request.tableLookups[g] == 0)
-            continue;
-        bool ready = subDoneBy(request.chosen[g]);
-        if (!ready) {
-            for (const auto &[hg, hd] : request.hedged) {
-                if (hg == g && subDoneBy(hd)) {
-                    ready = true;
-                    break;
-                }
-            }
-        }
-        if (!ready)
-            return false;
-    }
+    retireAt(0);
     return true;
 }
 
@@ -531,16 +478,14 @@ RmSsdCluster::requestReadyCycle(const ClusterInflight &request) const
     const auto subDoneCycle = [&](std::uint32_t d) {
         for (const auto &[pd, subId] : request.participants) {
             if (pd == d)
-                return shards_[d]->requestDoneCycle(subId);
+                return shards_[d]->doneCycle(subId);
         }
         return engine::kNeverCycle;
     };
     Cycle ready;
     if (request.hedged.empty()) {
-        for (const auto &[d, subId] : request.participants) {
-            (void)subId;
-            ready = std::max(ready, subDoneCycle(d));
-        }
+        for (const auto &[d, subId] : request.participants)
+            ready = std::max(ready, shards_[d]->doneCycle(subId));
         return ready;
     }
     for (std::uint32_t g = 0; g < config_.numTables; ++g) {
@@ -556,27 +501,13 @@ RmSsdCluster::requestReadyCycle(const ClusterInflight &request) const
     return ready;
 }
 
-bool
-RmSsdCluster::oldestDoneBy(Cycle when) const
-{
-    if (hasQueuedCompletion())
-        return true;
-    if (inflight_.empty())
-        return false;
-    // The oldest fleet request's status poll: all of its sub-requests
-    // (or, per hedged table, the first of the two) read done at
-    // `when`. Only the gather + home-MLP tail runs past `when` at
-    // retire.
-    return requestReadyBy(inflight_.front(), when);
-}
-
 std::uint32_t
 RmSsdCluster::harvestDoneBy(Cycle when)
 {
     std::uint32_t retired = 0;
     std::size_t pos = 0;
     while (pos < inflight_.size()) {
-        if (requestReadyBy(inflight_[pos], when)) {
+        if (requestReadyCycle(inflight_[pos]) <= when) {
             retireAt(pos);
             ++retired;
         } else {
@@ -595,6 +526,16 @@ RmSsdCluster::nextDoneCycle() const
     return earliest;
 }
 
+Cycle
+RmSsdCluster::doneCycle(engine::RequestId id) const
+{
+    for (const ClusterInflight &request : inflight_) {
+        if (request.id == id)
+            return requestReadyCycle(request);
+    }
+    return engine::InferenceDevice::doneCycle(id);
+}
+
 void
 RmSsdCluster::setMaxInflight(std::uint32_t depth)
 {
@@ -609,18 +550,6 @@ RmSsdCluster::setMaxInflight(std::uint32_t depth)
                                       : depth;
     for (const auto &shard : shards_)
         shard->setMaxInflight(shardDepth);
-}
-
-engine::InferenceOutcome
-RmSsdCluster::infer(std::span<const model::Sample> samples)
-{
-    const engine::RequestId id = submit(samples);
-    engine::InferenceOutcome outcome;
-    for (engine::AsyncCompletion &completion : drain()) {
-        if (completion.id == id)
-            outcome = std::move(completion.outcome);
-    }
-    return outcome;
 }
 
 std::uint32_t

@@ -101,15 +101,6 @@ class RmSsdCluster : public engine::InferenceDevice
                  const ClusterOptions &options);
 
     /**
-     * Scatter one request's lookups to the owning shards, gather the
-     * partial pooled sums, and (unless embeddingOnly) run the MLP on
-     * the router-chosen home device. Implemented as submit() +
-     * drain(), so any other outstanding submissions retire with it.
-     */
-    engine::InferenceOutcome
-    infer(std::span<const model::Sample> samples) override;
-
-    /**
      * Issue one request asynchronously: route and scatter now (each
      * shard's sub-request issues through its own async queue, so
      * shard clocks stay independent between scatters and
@@ -123,8 +114,6 @@ class RmSsdCluster : public engine::InferenceDevice
     /** Retire the oldest outstanding request; false when idle. */
     bool retireNext() override;
 
-    bool oldestDoneBy(Cycle when) const override;
-
     /**
      * Eager completion scan: retire every in-flight fleet request
      * whose gather inputs are ready by @p when — every table's
@@ -136,6 +125,12 @@ class RmSsdCluster : public engine::InferenceDevice
 
     /** Earliest gather-ready cycle among in-flight fleet requests. */
     Cycle nextDoneCycle() const override;
+
+    /**
+     * In flight: the cycle the request can gather (see
+     * requestReadyCycle); the gather and home-MLP tail run past it.
+     */
+    Cycle doneCycle(engine::RequestId id) const override;
 
     /** Requests issued but not yet retired. */
     std::uint32_t inflight() const override
@@ -253,21 +248,17 @@ class RmSsdCluster : public engine::InferenceDevice
         std::vector<std::uint64_t> tableLookups;
     };
 
-    /** Retire stage: shard gather + home MLP + presend bookkeeping. */
-    void retireOldest();
-
-    /** Retire the in-flight request at queue position @p pos. */
+    /**
+     * Retire stage for the in-flight request at queue position
+     * @p pos: shard gather + home MLP + presend bookkeeping.
+     */
     void retireAt(std::size_t pos);
 
     /**
-     * Whether @p request can gather by @p when: every table with
-     * lookups is done on at least one of its serving replicas (the
-     * chosen home, or — for hedged tables — the alternate too).
+     * First cycle @p request can gather: every table with lookups is
+     * done on at least one of its serving replicas (the chosen home,
+     * or — for hedged tables — the earlier of home and alternate).
      */
-    bool requestReadyBy(const ClusterInflight &request,
-                        Cycle when) const;
-
-    /** First cycle @p request can gather (kNeverCycle = not yet known). */
     Cycle requestReadyCycle(const ClusterInflight &request) const;
 
     /** Route/scatter stage over the (possibly residual) samples. */

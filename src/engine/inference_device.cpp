@@ -6,22 +6,21 @@
 
 namespace rmssd::engine {
 
-RequestId
-InferenceDevice::submit(std::span<const model::Sample> samples)
+InferenceOutcome
+InferenceDevice::infer(std::span<const model::Sample> samples)
 {
-    // Synchronous fallback for backends without an async pipeline:
-    // serve the request inline and queue the completion, so callers
-    // written against submit/poll work unchanged (depth degrades
-    // to 1).
-    const RequestId id = allocateRequestId();
-    AsyncCompletion completion;
-    completion.id = id;
-    completion.outcome = infer(samples);
-    submitted_.inc();
-    retired_.inc();
-    queueDepthOnSubmit_.sample(1.0);
-    pushCompletion(std::move(completion));
-    return id;
+    return drainFor(submit(samples));
+}
+
+InferenceOutcome
+InferenceDevice::drainFor(RequestId id)
+{
+    for (AsyncCompletion &completion : drain()) {
+        if (completion.id == id)
+            return std::move(completion.outcome);
+    }
+    fatal("request %llu lost in drain",
+          static_cast<unsigned long long>(id));
 }
 
 std::optional<AsyncCompletion>
@@ -34,39 +33,14 @@ InferenceDevice::poll()
     return completion;
 }
 
-std::optional<AsyncCompletion>
-InferenceDevice::pollId(RequestId id)
-{
-    for (auto it = completed_.begin(); it != completed_.end(); ++it) {
-        if (it->id != id)
-            continue;
-        AsyncCompletion completion = std::move(*it);
-        completed_.erase(it);
-        return completion;
-    }
-    return std::nullopt;
-}
-
-bool
-InferenceDevice::hasCompletionFor(RequestId id) const
+Cycle
+InferenceDevice::doneCycle(RequestId id) const
 {
     for (const AsyncCompletion &completion : completed_) {
         if (completion.id == id)
-            return true;
+            return Cycle{0};
     }
-    return false;
-}
-
-std::uint32_t
-InferenceDevice::harvestDoneBy(Cycle when)
-{
-    std::uint32_t retired = 0;
-    while (oldestDoneBy(when)) {
-        if (!retireNext())
-            break;
-        ++retired;
-    }
-    return retired;
+    return kNeverCycle;
 }
 
 std::vector<AsyncCompletion>
@@ -97,6 +71,19 @@ void
 InferenceDevice::pushCompletion(AsyncCompletion completion)
 {
     completed_.push_back(std::move(completion));
+}
+
+std::optional<AsyncCompletion>
+InferenceDevice::popCompletion(RequestId id)
+{
+    for (auto it = completed_.begin(); it != completed_.end(); ++it) {
+        if (it->id != id)
+            continue;
+        AsyncCompletion completion = std::move(*it);
+        completed_.erase(it);
+        return completion;
+    }
+    return std::nullopt;
 }
 
 void

@@ -66,14 +66,13 @@ class InferenceDevice
     virtual ~InferenceDevice() = default;
 
     /**
-     * Run one inference request of arbitrary batch size. Large
-     * batches partition into micro-batches that stream through the
-     * backend's engines. Synchronous: equivalent to submit() followed
-     * by drain() — any other outstanding submissions retire with it
-     * (their completions are consumed by the internal drain).
+     * Run one inference request of arbitrary batch size, blocking:
+     * submit() followed by drain(), returning this request's outcome.
+     * Any other outstanding submissions retire with it (their
+     * completions are consumed by the internal drain). Fatal if the
+     * drain does not return the request.
      */
-    virtual InferenceOutcome
-    infer(std::span<const model::Sample> samples) = 0;
+    InferenceOutcome infer(std::span<const model::Sample> samples);
 
     // ---- Asynchronous surface (cross-request pipelining) ----------
     //
@@ -81,39 +80,26 @@ class InferenceDevice
     // to maxInflight() requests overlap inside the backend, each
     // engine (flash/embedding, MLP units, DMA) scheduled on its own
     // occupancy track. When the bounded queue is full, submit first
-    // retires the oldest outstanding request (backpressure). poll()
-    // pops already-retired completions in FIFO order without
-    // advancing the timeline; drain() retires everything outstanding.
-    // At maxInflight() == 1 the submit/retire sequence is
-    // op-for-op identical to the blocking infer() loop, so existing
-    // results reproduce bit-for-bit.
+    // retires the oldest outstanding request (backpressure). A retired
+    // request's completion queues until poll() (FIFO) or drain()
+    // takes it. doneCycle() is the one status query: a host asks when
+    // a ticket reads done and compares against its own clock. At
+    // maxInflight() == 1 the submit/retire sequence is op-for-op
+    // identical to the blocking infer() loop, so existing results
+    // reproduce bit-for-bit.
 
     /**
      * Issue one request asynchronously. Retires the oldest
      * outstanding request first when maxInflight() are already in
-     * flight. The base implementation is a synchronous fallback
-     * (serve inline, queue the completion) for backends without an
-     * async pipeline.
+     * flight.
      */
-    virtual RequestId submit(std::span<const model::Sample> samples);
+    virtual RequestId submit(std::span<const model::Sample> samples) = 0;
 
     /**
      * Pop the oldest retired completion, FIFO; std::nullopt when none
      * has retired yet. Never advances the device timeline.
      */
     std::optional<AsyncCompletion> poll();
-
-    /**
-     * Pop the retired completion for @p id regardless of its queue
-     * position; std::nullopt when @p id has not retired (or was
-     * already consumed). Hosts that track requests by ticket — the
-     * cluster gather, the SLO serving loop — pair completions by id
-     * instead of relying on FIFO ordering.
-     */
-    std::optional<AsyncCompletion> pollId(RequestId id);
-
-    /** Whether a retired completion for @p id awaits pollId(). */
-    bool hasCompletionFor(RequestId id) const;
 
     /**
      * Retire every outstanding request and return all unconsumed
@@ -124,51 +110,42 @@ class InferenceDevice
 
     /**
      * Force-retire the oldest outstanding request into the completion
-     * queue. @return false when nothing is in flight. Base backends
-     * complete synchronously inside submit(), so the default is a
-     * no-op.
+     * queue. @return false when nothing is in flight.
      */
-    virtual bool retireNext() { return false; }
+    virtual bool retireNext() = 0;
 
     /**
-     * Non-blocking completion probe: whether retireNext() would find
-     * its work already finished by cycle @p when — a completion is
-     * queued, or the oldest in-flight request's engine work is done (a
-     * host status poll at @p when would read done; only the result
-     * readout tail may run slightly past it). Lets a polling host
-     * harvest finished requests opportunistically without blocking its
-     * clock on an unfinished one. Conservative default for synchronous
-     * backends: only queued completions count.
+     * When request @p id reads done at a host status poll: Cycle{0}
+     * once it is retired and its completion queued, its engine-done
+     * cycle while it is in flight (only the result readout tail runs
+     * past it at retire), kNeverCycle for an unknown or already
+     * consumed id. "Done by `when`" is `doneCycle(id) <= when`. The
+     * base implementation answers for queued completions only;
+     * backends add their in-flight requests.
      */
-    virtual bool oldestDoneBy(Cycle when) const
-    {
-        (void)when;
-        return hasQueuedCompletion();
-    }
+    virtual Cycle doneCycle(RequestId id) const;
 
     /**
-     * Eager completion scan: retire EVERY outstanding request whose
-     * engine work is done by cycle @p when — not only the oldest — so
-     * a polling host can harvest out-of-order finishers without
-     * blocking its clock on a straggler at the front of the queue.
-     * The default walks the FIFO probe (oldestDoneBy + retireNext),
-     * which is exact for backends whose pipeline completes in order.
+     * Completion scan at host clock @p when: retire requests whose
+     * engine work is done by @p when, never blocking on an unfinished
+     * request at the front of the queue. Which requests a scan takes
+     * is the backend's retire policy: RmSsd and RmSsdCluster retire
+     * every finisher, out of order; TenantFleet reaps on its oldest.
      * @return requests retired by this scan
      */
-    virtual std::uint32_t harvestDoneBy(Cycle when);
+    virtual std::uint32_t harvestDoneBy(Cycle when) = 0;
 
     /**
      * Earliest cycle at which some in-flight request's engine work
      * completes (the first cycle a status poll would read done);
      * kNeverCycle when nothing is in flight. Lets an event-driven
      * host advance straight to the next completion instead of
-     * spinning a probe. Synchronous backends never hold in-flight
-     * work, so the default is the sentinel.
+     * spinning a probe.
      */
-    virtual Cycle nextDoneCycle() const { return kNeverCycle; }
+    virtual Cycle nextDoneCycle() const = 0;
 
     /** Requests currently issued but not yet retired. */
-    virtual std::uint32_t inflight() const { return 0; }
+    virtual std::uint32_t inflight() const = 0;
 
     /** Bounded queue depth: requests that may overlap in the device. */
     std::uint32_t maxInflight() const { return maxInflight_; }
@@ -299,14 +276,23 @@ class InferenceDevice
   protected:
     /** Allocate the next submission ticket. */
     RequestId allocateRequestId() { return ++requestIdCounter_; }
+    /**
+     * Drain everything and return request @p id's outcome (the
+     * blocking tail of infer()). Fatal if the drain does not return
+     * it.
+     */
+    InferenceOutcome drainFor(RequestId id);
     /** Queue a retired request for poll()/drain(). */
     void pushCompletion(AsyncCompletion completion);
-    /** Drop queued completions and reset depth bookkeeping (timing reset). */
+    /**
+     * Pop the queued completion for @p id regardless of its queue
+     * position; std::nullopt when none is queued.
+     */
+    std::optional<AsyncCompletion> popCompletion(RequestId id);
+    /** Drop queued completions (timing reset). */
     void clearCompletions();
-    /** Whether an already-retired completion awaits poll(). */
-    bool hasQueuedCompletion() const { return !completed_.empty(); }
 
-    /** Async submissions (including synchronous fallbacks). */
+    /** Async submissions. */
     Counter submitted_;
     /** Requests retired through the async surface. */
     Counter retired_;

@@ -570,7 +570,7 @@ RmSsd::submitWith(std::span<const model::Sample> samples,
     // reproduces the blocking infer() loop op-for-op: retire r, then
     // issue r+1, with the same DMA/MMIO call order.
     while (inflight_.size() >= maxInflight())
-        retireOldest();
+        retireAt(0);
 
     const MlpPlan &plan = searchResult_.plan;
     InflightRequest request;
@@ -678,12 +678,6 @@ RmSsd::submitWith(std::span<const model::Sample> samples,
 }
 
 void
-RmSsd::retireOldest()
-{
-    retireAt(0);
-}
-
-void
 RmSsd::retireAt(std::size_t pos)
 {
     RMSSD_ASSERT(pos < inflight_.size(), "no request in flight");
@@ -735,18 +729,8 @@ RmSsd::retireNext()
 {
     if (inflight_.empty())
         return false;
-    retireOldest();
+    retireAt(0);
     return true;
-}
-
-bool
-RmSsd::oldestDoneBy(Cycle when) const
-{
-    // A status poll at `when` reads done once the last micro-batch is
-    // through the engines; the result readout (MMIO/DMA) still runs at
-    // retire time, so the retire clock may trail slightly past `when`.
-    return hasQueuedCompletion() ||
-           (!inflight_.empty() && inflight_.front().lastDone <= when);
 }
 
 std::uint32_t
@@ -776,40 +760,29 @@ RmSsd::nextDoneCycle() const
     return earliest;
 }
 
-bool
-RmSsd::requestDoneBy(RequestId id, Cycle when) const
-{
-    if (hasCompletionFor(id))
-        return true;
-    for (const InflightRequest &request : inflight_) {
-        if (request.id == id)
-            return request.lastDone <= when;
-    }
-    return false;
-}
-
 Cycle
-RmSsd::requestDoneCycle(RequestId id) const
+RmSsd::doneCycle(RequestId id) const
 {
-    if (hasCompletionFor(id))
-        return Cycle{0};
+    // A status poll reads done once the last micro-batch is through
+    // the engines; the result readout (MMIO/DMA) still runs at retire
+    // time, so the retire clock may trail slightly past this cycle.
     for (const InflightRequest &request : inflight_) {
         if (request.id == id)
             return request.lastDone;
     }
-    return kNeverCycle;
+    return InferenceDevice::doneCycle(id);
 }
 
-bool
-RmSsd::retireById(RequestId id)
+std::optional<AsyncCompletion>
+RmSsd::take(RequestId id)
 {
     for (std::size_t pos = 0; pos < inflight_.size(); ++pos) {
         if (inflight_[pos].id == id) {
             retireAt(pos);
-            return true;
+            break;
         }
     }
-    return false;
+    return popCompletion(id);
 }
 
 void
@@ -821,18 +794,6 @@ RmSsd::attachHostTier(std::shared_ptr<host::EmbeddingTier> tier)
                              config_.numTables,
                      "tier model shape does not match the device");
     hostTier_ = std::move(tier);
-}
-
-InferenceOutcome
-RmSsd::infer(std::span<const model::Sample> samples)
-{
-    const RequestId id = submit(samples);
-    InferenceOutcome outcome;
-    for (AsyncCompletion &completion : drain()) {
-        if (completion.id == id)
-            outcome = std::move(completion.outcome);
-    }
-    return outcome;
 }
 
 void

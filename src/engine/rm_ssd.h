@@ -165,16 +165,6 @@ class RmSsd : public InferenceDevice
                        const ftl::ExtentList &extents);
 
     /**
-     * Run one inference request of arbitrary batch size. Large
-     * batches partition into micro-batches that stream through the
-     * engines (Section IV-D's system-level pipeline). Implemented as
-     * submit() + drain(), so any other outstanding submissions retire
-     * with it.
-     */
-    InferenceOutcome
-    infer(std::span<const model::Sample> samples) override;
-
-    /**
      * Issue one request asynchronously (cross-request pipelining).
      * The issue stage runs immediately: inputs DMA in and the
      * micro-batches are scheduled onto the engine occupancy tracks
@@ -190,8 +180,6 @@ class RmSsd : public InferenceDevice
     /** Retire the oldest outstanding request; false when idle. */
     bool retireNext() override;
 
-    bool oldestDoneBy(Cycle when) const override;
-
     /**
      * Eager completion scan: retire every in-flight request whose
      * last micro-batch is through the engines by @p when, regardless
@@ -204,22 +192,17 @@ class RmSsd : public InferenceDevice
     /** Earliest lastDone among in-flight requests (kNeverCycle if none). */
     Cycle nextDoneCycle() const override;
 
-    /**
-     * Whether request @p id would read done at a status poll at
-     * @p when: its completion is already queued, or its engine work
-     * finishes by @p when. False for unknown ids.
-     */
-    bool requestDoneBy(RequestId id, Cycle when) const;
+    /** In flight: the cycle its last micro-batch is through the engines. */
+    Cycle doneCycle(RequestId id) const override;
 
     /**
-     * Engine-completion cycle of in-flight request @p id; Cycle{0}
-     * when its completion is already queued (done in the past),
-     * kNeverCycle for unknown ids.
+     * Take request @p id's completion: retire it first if it is still
+     * in flight (regardless of queue position; other in-flight
+     * requests stay in flight), then pop its completion. std::nullopt
+     * for an unknown or already consumed id. The cluster gather pairs
+     * shard completions by sub-request ticket this way.
      */
-    Cycle requestDoneCycle(RequestId id) const;
-
-    /** Retire in-flight request @p id regardless of queue position. */
-    bool retireById(RequestId id);
+    std::optional<AsyncCompletion> take(RequestId id);
 
     /** Requests issued but not yet retired. */
     std::uint32_t inflight() const override
@@ -431,10 +414,10 @@ class RmSsd : public InferenceDevice
         std::vector<float> outputs;
     };
 
-    /** Retire stage: result readback + presend clock bookkeeping. */
-    void retireOldest();
-
-    /** Retire the in-flight request at queue position @p pos. */
+    /**
+     * Retire stage for the in-flight request at queue position
+     * @p pos: result readback + presend clock bookkeeping.
+     */
     void retireAt(std::size_t pos);
 
     /**

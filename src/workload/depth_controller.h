@@ -2,9 +2,9 @@
  * @file
  * Adaptive queue-depth controller for the SLO serving control plane.
  *
- * Fig. 17 showed no static queue depth wins everywhere: deep queues
- * lift saturated-fleet QPS but inflate sub-saturation p99 (requests
- * just wait inside the device). The controller closes that loop at
+ * The queue depth a backend needs depends on the load: a too-shallow
+ * queue caps saturated-fleet QPS (Fig. 17) and inflates the queue
+ * wait below saturation (Fig. 21). The controller picks the depth at
  * run time on two congestion signals:
  *
  *  - the host dispatch backlog sampled at each dispatch decision — a

@@ -52,7 +52,7 @@ class LatencyRecorder
     mutable bool sorted_ = true;
 };
 
-/** One request priority class of the SLO serving mode. */
+/** One request priority class of the serving loop's dispatch queue. */
 struct ServingClass
 {
     std::string name = "default";
@@ -65,18 +65,16 @@ struct ServingClass
 };
 
 /**
- * SLO control-plane knobs. All default OFF: simulateServing then runs
- * the legacy FIFO blocking loop and existing results stay
- * byte-identical.
+ * SLO control-plane knobs. The defaults (one best-effort class, a
+ * static depth) make the dispatch queue plain FIFO.
  */
 struct SloServingOptions
 {
     /**
-     * Master switch for the SLO serving loop: arrivals park in a
-     * priority/EDF dispatch queue, finished requests harvest eagerly
-     * (InferenceDevice::harvestDoneBy) instead of only at FIFO
-     * backpressure points, and per-request queue-wait vs service time
-     * is recorded.
+     * Ignored: simulateServing has one loop, which always parks
+     * arrivals in the priority/EDF dispatch queue and harvests
+     * finished requests eagerly. Kept only so existing callers that
+     * still set it build.
      */
     bool enabled = false;
     /**
@@ -111,12 +109,11 @@ struct ServingConfig
      * (submit/poll pipelining). 1 (the default) reproduces the
      * blocking infer() loop bit-for-bit; deeper queues overlap
      * request r+1's embedding lookups with request r's MLP tail.
-     * This is no longer the only pipelining knob: with
-     * slo.adaptiveDepth the DepthController drives the depth at run
-     * time instead, and the two are mutually exclusive (asserted).
+     * With slo.adaptiveDepth the DepthController drives the depth at
+     * run time instead; the two are mutually exclusive (asserted).
      */
     std::uint32_t queueDepth = 1;
-    /** SLO control plane (off by default — legacy loop). */
+    /** SLO control plane: classes, deadlines, adaptive depth. */
     SloServingOptions slo;
     /**
      * Adaptive re-planning: every @p replanCheckEvery requests, call
@@ -137,7 +134,7 @@ struct ServingConfig
     std::uint32_t migrateCheckEvery = 0;
 };
 
-/** Per-class slice of an SLO serving run. */
+/** Per-class slice of a serving run. */
 struct ClassServingResult
 {
     std::string name;
@@ -187,36 +184,39 @@ struct ServingResult
     /**
      * Mean device queue occupancy, time-weighted over the span from
      * the first dispatch to the last completion (each request counts
-     * from its dispatch cycle to its completion cycle). The pre-PR-10
-     * submit-sampled reading — biased toward submit instants — lives
-     * on as meanDepthOnSubmit.
+     * from its dispatch cycle to its completion cycle). Under the
+     * §IV-D presend it can exceed the host queue depth: the next
+     * command send overlaps the previous readout.
      */
     double meanQueueDepth = 0.0;
-    /** Mean occupancy sampled right after each submit (legacy view). */
-    double meanDepthOnSubmit = 0.0;
     /**
      * Host dispatch-queue wait per request, arrival to dispatch
-     * (the `queue.waitNanos` breakdown; in the legacy loop this is
-     * the host-block time before the blocking submit).
+     * (the `queue.waitNanos` breakdown).
      */
     Distribution queueWaitNanos;
     /** Device service time per request, dispatch to completion. */
     Distribution serviceNanos;
-    /** Deadline misses across all classes (SLO mode with deadlines). */
+    /** Deadline misses across all classes (0 without deadlines). */
     std::uint64_t deadlineMisses = 0;
-    /** Per-class breakdown (SLO mode; one entry per class). */
+    /** Per-class breakdown (one entry per class). */
     std::vector<ClassServingResult> classes;
-    /** Depth-controller adjustments (SLO mode with adaptiveDepth). */
+    /** Depth-controller adjustments (with slo.adaptiveDepth). */
     std::uint64_t depthAdjustments = 0;
     /** Device queue depth when the run ended (controller's endpoint). */
     std::uint32_t finalDepth = 0;
 };
 
 /**
- * Drive @p device with Poisson arrivals from @p gen. Requests queue
- * FIFO; each request's latency spans its arrival to its results
- * being readable on the host. Works against any InferenceDevice —
- * a single RM-SSD or a multi-SSD cluster.
+ * Drive @p device with Poisson arrivals from @p gen through one event
+ * loop: arrivals park in a priority/EDF dispatch queue (FIFO with one
+ * class), finished requests harvest eagerly
+ * (InferenceDevice::harvestDoneBy) at every dispatch, a full device
+ * queue blocks the host on the oldest retire, and (optionally) a
+ * DepthController walks the queue depth against the latency SLO. At
+ * depth 1 with one class this is op-for-op the blocking infer() loop.
+ * Each request's latency spans its arrival to its results being
+ * readable on the host. Works against any InferenceDevice — a single
+ * RM-SSD or a multi-SSD cluster.
  */
 ServingResult simulateServing(engine::InferenceDevice &device,
                               TraceGenerator &gen,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the comparison systems: registry coverage, traffic and
+ * Tests for the comparison systems: catalog coverage, traffic and
  * breakdown accounting, cache behaviour, and the paper's qualitative
  * performance ordering on a scaled-down workload.
  */
@@ -10,9 +10,9 @@
 #include "baseline/dram_system.h"
 #include "baseline/emb_vectorsum_system.h"
 #include "baseline/recssd_system.h"
-#include "baseline/registry.h"
 #include "baseline/rm_ssd_system.h"
 #include "baseline/ssd_naive_system.h"
+#include "catalog/catalog.h"
 #include "model/model_zoo.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
@@ -41,12 +41,13 @@ miniTrace()
 TEST(Registry, BuildsEverySystem)
 {
     const model::ModelConfig cfg = miniConfig();
-    for (const std::string &name : allSystemNames()) {
-        const auto sys = makeSystem(name, cfg);
+    for (const std::string &name :
+         catalog::ModelCatalog::builtin().systemNames()) {
+        const auto sys = catalog::makeSystem(name, cfg);
         ASSERT_NE(sys, nullptr) << name;
         EXPECT_EQ(sys->name(), name);
     }
-    EXPECT_EXIT(makeSystem("NoSuchSystem", cfg),
+    EXPECT_EXIT(catalog::makeSystem("NoSuchSystem", cfg),
                 ::testing::ExitedWithCode(1), "unknown system");
 }
 

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <ostream>
 
 #include "model/dlrm.h"
 #include "model/embedding.h"
@@ -132,6 +133,14 @@ struct MlpSizeCase
     const char *name;
     double paperMb;
 };
+
+// Print the case by model name, not as raw bytes: the bytes hold the
+// name's pointer, which changes from run to run and would otherwise
+// leak into the discovered test names.
+void PrintTo(const MlpSizeCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class MlpSizeTest : public ::testing::TestWithParam<MlpSizeCase>
 {

@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "cluster/cluster.h"
 #include "engine/rm_ssd.h"
 #include "model/model_zoo.h"
+#include "sim/rng.h"
 #include "workload/depth_controller.h"
 #include "workload/serving.h"
 #include "workload/trace.h"
@@ -225,36 +229,83 @@ makeFunctionalDevice(const model::ModelConfig &config)
     return device;
 }
 
+/**
+ * The legacy FIFO serving loop, hand-rolled: the same Poisson arrivals
+ * as simulateServing, each request served by a blocking infer(). Returns
+ * every request's completion cycle in order.
+ */
+std::vector<Cycle>
+blockingInferLoop(engine::InferenceDevice &device, TraceGenerator &gen,
+                  const ServingConfig &sc, LatencyRecorder &latencies)
+{
+    device.resetTiming();
+    device.setMaxInflight(1);
+    Rng rng(sc.seed);
+    double arrivalNanos = 0.0;
+    std::vector<Cycle> completions;
+    for (std::uint32_t r = 0; r < sc.numRequests; ++r) {
+        const double u = std::max(rng.nextDouble(), 1e-12);
+        arrivalNanos += -(1e9 / sc.arrivalQps) * std::log(u);
+        const Cycle arrival =
+            nanosToCycles(Nanos{static_cast<std::uint64_t>(arrivalNanos)});
+        if (device.deviceNow() < arrival)
+            device.advanceHostClock(
+                cyclesToNanos(arrival - device.deviceNow()));
+        const Cycle end =
+            device.infer(gen.nextBatch(sc.batchSize)).completionCycle;
+        latencies.add(cyclesToNanos(end - arrival));
+        completions.push_back(end);
+    }
+    return completions;
+}
+
 TEST(SloServing, Depth1SingleClassMatchesLegacyLoopExactly)
 {
-    // The eager-completion loop at depth 1 with one best-effort class
-    // must replay the legacy blocking loop's device schedule
-    // bit-for-bit — the PR-5 depth-1 invariant carries over.
+    // The serving loop at depth 1 with one best-effort class replays
+    // a blocking infer() loop's device schedule completion for
+    // completion, on one device and on a sharded fleet. The serving
+    // run over the first k requests ends at the blocking loop's k-th
+    // completion cycle.
     const model::ModelConfig config = tinyConfig();
-    for (const double qps : {500.0, 5e6}) {
-        auto legacyDev = makeFunctionalDevice(config);
-        auto sloDev = makeFunctionalDevice(config);
-        TraceGenerator gen(config, localityK(0.3));
+    const auto makeCluster = [&] {
+        cluster::ClusterOptions options;
+        options.sharding.numDevices = 2;
+        options.device.functional = true;
+        return std::make_unique<cluster::RmSsdCluster>(config, options);
+    };
+    const std::vector<std::function<
+        std::unique_ptr<engine::InferenceDevice>()>>
+        backends{[&] { return makeFunctionalDevice(config); },
+                 makeCluster};
+    for (std::size_t b = 0; b < backends.size(); ++b) {
+        for (const double qps : {500.0, 5e6}) {
+            ServingConfig sc;
+            sc.arrivalQps = qps;
+            sc.numRequests = 12;
+            TraceGenerator gen(config, localityK(0.3));
+            LatencyRecorder blocking;
+            auto device = backends[b]();
+            const std::vector<Cycle> completions =
+                blockingInferLoop(*device, gen, sc, blocking);
 
-        ServingConfig sc;
-        sc.arrivalQps = qps;
-        sc.numRequests = 40;
-        sc.queueDepth = 1;
-        const ServingResult legacy =
-            simulateServing(*legacyDev, gen, sc);
-        gen.reset();
-        sc.slo.enabled = true;
-        const ServingResult slo = simulateServing(*sloDev, gen, sc);
-
-        EXPECT_EQ(slo.meanLatency, legacy.meanLatency) << qps;
-        EXPECT_EQ(slo.p50, legacy.p50) << qps;
-        EXPECT_EQ(slo.p95, legacy.p95) << qps;
-        EXPECT_EQ(slo.p99, legacy.p99) << qps;
-        EXPECT_EQ(slo.maxLatency, legacy.maxLatency) << qps;
-        EXPECT_EQ(slo.achievedQps, legacy.achievedQps) << qps;
-        EXPECT_EQ(sloDev->deviceNow(), legacyDev->deviceNow()) << qps;
-        EXPECT_EQ(sloDev->lastCompletion(), legacyDev->lastCompletion())
-            << qps;
+            for (std::uint32_t k = 1; k <= sc.numRequests; ++k) {
+                auto served = backends[b]();
+                gen.reset();
+                ServingConfig prefix = sc;
+                prefix.numRequests = k;
+                const ServingResult r =
+                    simulateServing(*served, gen, prefix);
+                EXPECT_EQ(served->lastCompletion(), completions[k - 1])
+                    << "backend " << b << " qps " << qps << " k " << k;
+                if (k < sc.numRequests)
+                    continue;
+                EXPECT_EQ(served->deviceNow(), device->deviceNow());
+                EXPECT_EQ(r.meanLatency, blocking.mean()) << qps;
+                EXPECT_EQ(r.p50, blocking.percentile(50.0)) << qps;
+                EXPECT_EQ(r.p99, blocking.percentile(99.0)) << qps;
+                EXPECT_EQ(r.maxLatency, blocking.max()) << qps;
+            }
+        }
     }
 }
 
@@ -287,7 +338,6 @@ TEST(SloServing, QueueWaitPlusServiceAccountsForLatency)
     // spans of more than queueDepth requests can genuinely coexist.
     EXPECT_GT(r.meanQueueDepth, 1.0);
     EXPECT_GT(r.meanQueueDepth, depth1.meanQueueDepth);
-    EXPECT_GT(r.meanDepthOnSubmit, depth1.meanDepthOnSubmit);
 }
 
 TEST(SloServing, AdaptiveDepthExcludesExplicitQueueDepthSweep)
@@ -297,7 +347,6 @@ TEST(SloServing, AdaptiveDepthExcludesExplicitQueueDepthSweep)
     TraceGenerator gen(config, localityK(0.3));
     ServingConfig sc;
     sc.queueDepth = 4;
-    sc.slo.enabled = true;
     sc.slo.adaptiveDepth = true;
     EXPECT_DEATH((void)simulateServing(*device, gen, sc),
                  "mutually exclusive");
@@ -323,7 +372,6 @@ TEST(SloServing, ControllerConvergesUpAtSaturationDownWhenIdle)
 
     ServingConfig sc;
     sc.numRequests = 120;
-    sc.slo.enabled = true;
     sc.slo.adaptiveDepth = true;
     sc.slo.controller.maxDepth = 4;
     sc.slo.controller.windowRequests = 32;
@@ -356,7 +404,6 @@ TEST(SloServing, PriorityClassJumpsTheQueueAndDeadlinesAreCounted)
     ServingConfig sc;
     sc.arrivalQps = 5e6; // saturating: a dispatch queue actually forms
     sc.numRequests = 160;
-    sc.slo.enabled = true;
     ServingClass premium;
     premium.name = "premium";
     premium.share = 1.0;
@@ -438,6 +485,61 @@ TEST(EagerCompletion, HarvestDoneByRetiresExactlyTheFinished)
     EXPECT_FALSE(device.poll().has_value());
 }
 
+TEST(CompletionContract, TakeRetiresExactlyThatRequest)
+{
+    const model::ModelConfig config = tinyConfig();
+    RmSsdOptions options;
+    options.functional = true;
+    RmSsd device(config, options);
+    device.loadTables();
+    device.setMaxInflight(4);
+
+    workload::TraceGenerator gen(config, workload::localityK(0.3));
+    const RequestId a = device.submit(gen.nextBatch(2));
+    const RequestId b = device.submit(gen.nextBatch(2));
+    const RequestId c = device.submit(gen.nextBatch(2));
+    const Cycle aDone = device.doneCycle(a);
+    const Cycle cDone = device.doneCycle(c);
+    ASSERT_NE(device.doneCycle(b), kNeverCycle);
+
+    // Taking the middle request retires it alone; its neighbours stay
+    // in flight with their done cycles untouched.
+    const auto taken = device.take(b);
+    ASSERT_TRUE(taken.has_value());
+    EXPECT_EQ(taken->id, b);
+    EXPECT_EQ(device.inflight(), 2u);
+    EXPECT_EQ(device.doneCycle(a), aDone);
+    EXPECT_EQ(device.doneCycle(c), cDone);
+    EXPECT_EQ(device.doneCycle(b), kNeverCycle);
+    EXPECT_FALSE(device.poll().has_value());
+
+    // A retired-and-queued request reads done at Cycle{0}; take pops
+    // it without retiring anything else.
+    ASSERT_TRUE(device.retireNext());
+    EXPECT_EQ(device.doneCycle(a), Cycle{0});
+    EXPECT_EQ(device.take(a)->id, a);
+    EXPECT_EQ(device.inflight(), 1u);
+    EXPECT_EQ(device.drain().size(), 1u);
+}
+
+TEST(CompletionContract, TakeUnknownIdReturnsNullopt)
+{
+    const model::ModelConfig config = tinyConfig();
+    RmSsd device(config, RmSsdOptions{});
+    device.loadTables();
+    device.setMaxInflight(2);
+    EXPECT_FALSE(device.take(7).has_value());
+
+    workload::TraceGenerator gen(config, workload::localityK(0.3));
+    const RequestId id = device.submit(gen.nextBatch(1));
+    EXPECT_FALSE(device.take(id + 1).has_value());
+    EXPECT_EQ(device.doneCycle(id + 1), kNeverCycle);
+    EXPECT_EQ(device.inflight(), 1u);
+    // A consumed ticket is unknown from then on.
+    ASSERT_TRUE(device.take(id).has_value());
+    EXPECT_FALSE(device.take(id).has_value());
+}
+
 } // namespace
 } // namespace rmssd::engine
 
@@ -517,7 +619,8 @@ TEST(EagerCompletion, ClusterRetiresOutOfOrderAcrossDisjointShards)
     ASSERT_NE(firstDone, engine::kNeverCycle);
     // The head of the FIFO is NOT ready at the earliest completion —
     // the later request is.
-    EXPECT_FALSE(fleet.oldestDoneBy(firstDone));
+    EXPECT_EQ(fleet.doneCycle(fast), firstDone);
+    EXPECT_GT(fleet.doneCycle(slow), firstDone);
     EXPECT_EQ(fleet.harvestDoneBy(firstDone), 1u);
     auto completion = fleet.poll();
     ASSERT_TRUE(completion.has_value());
@@ -529,6 +632,52 @@ TEST(EagerCompletion, ClusterRetiresOutOfOrderAcrossDisjointShards)
     EXPECT_EQ(rest[0].id, slow);
     EXPECT_GT(rest[0].outcome.completionCycle,
               completion->outcome.completionCycle);
+}
+
+TEST(EagerCompletion, TenantFleetHarvestIsFifo)
+{
+    // A later request that finishes first (disjoint shards of the
+    // fleet's cluster backend) waits behind the unfinished older one:
+    // fleet completions finalize in submission order.
+    const model::ModelConfig config = tinyConfig();
+    std::vector<catalog::TenantSpec> specs(1);
+    specs[0].id = "solo";
+    specs[0].config = config;
+    specs[0].trace = workload::localityK(0.3);
+    catalog::FleetOptions options;
+    options.numDevices = 2;
+    options.device.functional = true;
+    catalog::TenantFleet fleet(std::move(specs), options);
+    fleet.setMaxInflight(4);
+
+    const auto &plan =
+        dynamic_cast<const RmSsdCluster &>(fleet.backend()).shardPlan();
+    std::uint32_t tableOn0 = config.numTables;
+    std::uint32_t tableOn1 = config.numTables;
+    for (std::uint32_t g = 0; g < config.numTables; ++g) {
+        const auto &owners = plan.ownersPerTable[g];
+        if (owners.size() == 1 && owners[0] == 0)
+            tableOn0 = g;
+        if (owners.size() == 1 && owners[0] == 1)
+            tableOn1 = g;
+    }
+    ASSERT_LT(tableOn0, config.numTables);
+    ASSERT_LT(tableOn1, config.numTables);
+
+    const engine::RequestId slow = fleet.submit(
+        std::vector<model::Sample>{singleTableSample(config, tableOn0, 200)});
+    const engine::RequestId fast = fleet.submit(
+        std::vector<model::Sample>{singleTableSample(config, tableOn1, 1)});
+    const Cycle fastDone = fleet.doneCycle(fast);
+    const Cycle slowDone = fleet.doneCycle(slow);
+    ASSERT_LT(fastDone, slowDone);
+
+    EXPECT_EQ(fleet.harvestDoneBy(fastDone), 0u);
+    EXPECT_EQ(fleet.inflight(), 2u);
+    EXPECT_FALSE(fleet.poll().has_value());
+    EXPECT_EQ(fleet.harvestDoneBy(slowDone), 2u);
+    EXPECT_EQ(fleet.poll()->id, slow);
+    EXPECT_EQ(fleet.poll()->id, fast);
 }
 
 TEST(EagerCompletion, ShardQueueDepthDecouplesFromClusterDepth)
@@ -591,6 +740,61 @@ TEST(HedgedRequests, WinnerBytesMatchReferenceAndHedgesFire)
     }
     EXPECT_GT(fleet.hedgesIssued().value(), 0u);
     EXPECT_GE(fleet.hedgesIssued().value(), fleet.hedgeWins().value());
+}
+
+TEST(HedgedRequests, DoneCycleTakesTheEarlierReplicaPerTable)
+{
+    // Shard 1 is backed up with a heavy request; the next request
+    // hits the replicated table (hedged to both shards) plus a table
+    // only shard 0 holds. Per table the earlier replica counts, and
+    // the request is done when its slowest table is.
+    const model::ModelConfig config = tinyConfig();
+    workload::TraceGenerator histGen(config, workload::localityK(0.0));
+    ClusterOptions options;
+    options.sharding.numDevices = 2;
+    options.sharding.replicateHottest = 1;
+    options.embeddingOnly = true;
+    options.histograms = histGen.tableHistograms(2000);
+    options.hedge.enabled = true;
+    options.hedge.queueThreshold = 0; // hedge every replicated lookup
+    RmSsdCluster fleet(config, options);
+    fleet.setMaxInflight(4);
+
+    std::uint32_t replicated = config.numTables;
+    std::uint32_t tableOn0 = config.numTables;
+    std::uint32_t tableOn1 = config.numTables;
+    for (std::uint32_t g = 0; g < config.numTables; ++g) {
+        const auto &owners = fleet.shardPlan().ownersPerTable[g];
+        if (owners.size() == 2)
+            replicated = g;
+        else if (owners[0] == 0)
+            tableOn0 = g;
+        else
+            tableOn1 = g;
+    }
+    ASSERT_LT(replicated, config.numTables);
+    ASSERT_LT(tableOn0, config.numTables);
+    ASSERT_LT(tableOn1, config.numTables);
+
+    // Sub-request tickets: the heavy request is shard 1's first; the
+    // mixed request is shard 0's first and shard 1's second.
+    fleet.submit(std::vector<model::Sample>{
+        singleTableSample(config, tableOn1, 200)});
+    model::Sample mixed = singleTableSample(config, replicated, 1);
+    mixed.indices[tableOn0] = {5};
+    const engine::RequestId id =
+        fleet.submit(std::vector<model::Sample>{mixed});
+    const Cycle shard0 = fleet.shard(0).doneCycle(1);
+    const Cycle shard1 = fleet.shard(1).doneCycle(2);
+    ASSERT_NE(shard1, engine::kNeverCycle);
+    ASSERT_LT(shard0, shard1);
+
+    const Cycle replicatedReady = std::min(shard0, shard1);
+    const Cycle tableOn0Ready = shard0;
+    EXPECT_EQ(fleet.doneCycle(id),
+              std::max(replicatedReady, tableOn0Ready));
+    EXPECT_LT(fleet.doneCycle(id), shard1);
+    EXPECT_EQ(fleet.drain().size(), 2u);
 }
 
 } // namespace
