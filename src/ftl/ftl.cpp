@@ -118,6 +118,17 @@ Ftl::readBytes(Cycle issue, Lba lba, Bytes byteInSector, Bytes bytes,
 }
 
 void
+Ftl::readBytesFunctional(Lba lba, Bytes byteInSector,
+                         std::span<std::uint8_t> out) const
+{
+    const PhysLoc loc = translate(lba, byteInSector);
+    RMSSD_ASSERT((loc.pageByteOffset + Bytes{out.size()}).raw() <=
+                     pageSize(),
+                 "functional read crosses flash page boundary");
+    array_.store().read(loc.ppn, loc.pageByteOffset, out);
+}
+
+void
 Ftl::writeBytesFunctional(Lba lba, Bytes byteInSector,
                           std::span<const std::uint8_t> data)
 {

@@ -72,6 +72,15 @@ class Ftl
     Cycle readBytes(Cycle issue, Lba lba, Bytes byteInSector,
                     Bytes bytes, std::span<std::uint8_t> out);
 
+    /**
+     * Untimed read of @p out.size() bytes at logical byte address
+     * (lba, byteInSector): translation plus backing store only. No
+     * die, bus, path or heat state moves (a host page-cache hit).
+     * Must not cross a page.
+     */
+    void readBytesFunctional(Lba lba, Bytes byteInSector,
+                             std::span<std::uint8_t> out) const;
+
     /** Functional write of arbitrary bytes at a logical byte address. */
     void writeBytesFunctional(Lba lba, Bytes byteInSector,
                               std::span<const std::uint8_t> data);

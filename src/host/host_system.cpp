@@ -1,7 +1,6 @@
 #include "host/host_system.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "sim/log.h"
 
@@ -26,6 +25,8 @@ HostFileReader::readVector(std::uint32_t fileId,
         pageSize / nvme_.ftl().sectorSize();
     RMSSD_ASSERT(byteOffset.raw() % pageSize + bytes.raw() <= pageSize,
                  "host vector read straddles a cache page");
+    RMSSD_ASSERT(out.empty() || out.size() == bytes.raw(),
+                 "host vector read buffer size mismatch");
 
     requestedBytes_.inc(bytes.raw());
 
@@ -36,15 +37,11 @@ HostFileReader::readVector(std::uint32_t fileId,
     if (cache_.access(key)) {
         cost.fsNanos += costs_.hitCopyNanos;
         if (!out.empty()) {
-            // Functionally, a hit returns the same bytes the device
-            // would: fetch without timing or traffic accounting.
+            // A hit is served from host DRAM: read the same bytes the
+            // device holds without touching any device state.
             const auto loc = extents.locateByte(byteOffset, sectorSize);
-            nvme_.ftl().readBytes(Cycle{}, loc.lba, loc.byteInSector,
-                                  bytes, out);
-            // The probe above used the EV path counters; undo timing
-            // side effects by charging nothing to the host. (Flash
-            // timing state is monotonic but idle-time dominated; the
-            // functional read costs at most one bus slot.)
+            nvme_.ftl().readBytesFunctional(loc.lba, loc.byteInSector,
+                                            out);
         }
         return cost;
     }
@@ -54,11 +51,10 @@ HostFileReader::readVector(std::uint32_t fileId,
     const auto loc = extents.locateByte(pageStartByte, sectorSize);
     const Cycle issue = nanosToCycles(now + costs_.syscallNanos);
 
-    std::vector<std::uint8_t> pageBuf;
     std::span<std::uint8_t> pageSpan;
     if (!out.empty()) {
-        pageBuf.resize(pageSize);
-        pageSpan = pageBuf;
+        pageBuf_.resize(pageSize);
+        pageSpan = pageBuf_;
     }
     const Cycle done = nvme_.readBlocks(issue, loc.lba,
                                         Sectors{sectorsPerPage},
@@ -72,7 +68,7 @@ HostFileReader::readVector(std::uint32_t fileId,
     if (!out.empty()) {
         const std::uint32_t inPage = static_cast<std::uint32_t>(
             (byteOffset - pageStartByte).raw());
-        std::copy_n(pageBuf.begin() + inPage, bytes.raw(),
+        std::copy_n(pageBuf_.begin() + inPage, bytes.raw(),
                     out.begin());
     }
     return cost;

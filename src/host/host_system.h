@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "ftl/extent.h"
 #include "host/io_stack.h"
@@ -61,6 +62,8 @@ class HostFileReader
 
     Counter deviceBytes_;
     Counter requestedBytes_;
+
+    std::vector<std::uint8_t> pageBuf_; //!< functional miss fill
 };
 
 } // namespace rmssd::host

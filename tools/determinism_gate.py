@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Bit-exact replay gate for the fig10-18 benches.
+"""Bit-exact replay gate for the golden-covered benches.
+
+Covers every figure with a checked-in golden: fig02/03 (the naive-SSD
+baselines through the host page cache) and fig10-21.
 
 The repo's substitute for hardware ground truth is exact
 replayability: same sources, same seeds => byte-identical
@@ -39,6 +42,8 @@ import tempfile
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 FIG_TARGETS = [
+    "fig02_naive_ssd",
+    "fig03_read_amplification",
     "fig10_sls_operator",
     "fig11_end_to_end",
     "fig12_throughput",
@@ -125,7 +130,7 @@ def compare(run_a: pathlib.Path, run_b: pathlib.Path) -> list[str]:
 
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(
-        description="bit-exact replay gate for fig10-19")
+        description="bit-exact replay gate for fig02/03 and fig10-21")
     ap.add_argument("--source", type=pathlib.Path, default=REPO)
     ap.add_argument("--work", type=pathlib.Path, default=None,
                     help="scratch dir (default: a fresh tempdir)")
@@ -157,7 +162,7 @@ def main(argv: list[str]) -> int:
                       f"{build_dir}")
                 build(args.source, build_dir, args.jobs)
             run_dir = work / f"run-{label}"
-            print(f"determinism_gate: running fig10-18 [{label}] in "
+            print(f"determinism_gate: running fig02/03, fig10-21 [{label}] in "
                   f"{run_dir}")
             run_benches(build_dir, run_dir, label)
             runs[label] = run_dir
