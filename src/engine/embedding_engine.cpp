@@ -1,10 +1,11 @@
 #include "engine/embedding_engine.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
 
 #include "engine/ev_sum.h"
 #include "sim/log.h"
+#include "sim/rng.h"
 
 namespace rmssd::engine {
 
@@ -27,6 +28,30 @@ EmbeddingEngine::EmbeddingEngine(EvTranslator &translator, ftl::Ftl &ftl,
 {
 }
 
+void
+EmbeddingEngine::resetCoalescing(std::size_t indices)
+{
+    for (const CoalesceEntry &entry : coalesceEntries_)
+        coalesceSlots_[entry.slot] = 0;
+    coalesceEntries_.clear();
+    coalesceBytes_.clear();
+    const std::size_t want =
+        std::bit_ceil(std::max<std::size_t>(16, 2 * indices));
+    if (coalesceSlots_.size() < want)
+        coalesceSlots_.assign(want, 0);
+}
+
+std::uint32_t
+EmbeddingEngine::coalesceSlot(std::uint64_t key) const
+{
+    const std::size_t mask = coalesceSlots_.size() - 1;
+    std::size_t pos = static_cast<std::size_t>(splitmix64(key)) & mask;
+    while (coalesceSlots_[pos] != 0 &&
+           coalesceEntries_[coalesceSlots_[pos] - 1].key != key)
+        pos = (pos + 1) & mask;
+    return static_cast<std::uint32_t>(pos);
+}
+
 EmbeddingResult
 EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
                      bool functional)
@@ -41,17 +66,17 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
 
     // Coalescing state: completion cycle (and bytes, when functional)
     // of every unique (table, index) already served this micro-batch.
-    struct Slot
-    {
-        Cycle done;
-        std::vector<std::uint8_t> data;
-    };
-    std::unordered_map<std::uint64_t, Slot> seen;
-    if (coalesce_)
-        seen.reserve(samples.size() * 8);
+    if (coalesce_) {
+        std::size_t indices = 0;
+        for (const model::Sample &sample : samples)
+            for (const auto &tableIndices : sample.indices)
+                indices += tableIndices.size();
+        resetCoalescing(indices);
+    }
+    if (functional)
+        result.pooled.reserve(samples.size());
 
     Cycle lastDone = issue;
-    std::vector<std::uint8_t> buf;
     for (std::size_t s = 0; s < samples.size(); ++s) {
         const model::Sample &sample = samples[s];
         model::Vector pooledSample;
@@ -60,70 +85,78 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
             const Bytes evBytes = translator_.vectorBytes(tableId);
             const std::uint32_t dim = static_cast<std::uint32_t>(
                 evBytes.raw() / sizeof(float));
-            std::vector<float> acc(functional ? dim : 0, 0.0f);
+            if (functional)
+                acc_.assign(dim, 0.0f);
 
             Cycle tableDone = issue;
             for (const std::uint64_t rawIndex : sample.indices[t]) {
                 const EvIndex index{rawIndex};
-                const std::uint64_t key = lookupKey(tableId, index);
                 std::span<const std::uint8_t> bytes;
                 Cycle done;
 
-                const auto it =
-                    coalesce_ ? seen.find(key) : seen.end();
-                if (it != seen.end()) {
+                const std::uint64_t key = lookupKey(tableId, index);
+                const std::uint32_t slot = coalesce_ ? coalesceSlot(key) : 0;
+                if (coalesce_ && coalesceSlots_[slot] != 0) {
                     // Duplicate within the batch: the vector was read
                     // once already; fanning it into this sample's EV
                     // Sum costs no flash or cache access.
-                    done = std::max(issue, it->second.done);
-                    bytes = it->second.data;
+                    const CoalesceEntry &entry =
+                        coalesceEntries_[coalesceSlots_[slot] - 1];
+                    done = std::max(issue, entry.done);
+                    if (entry.dataLen != 0)
+                        bytes = {coalesceBytes_.data() + entry.dataOffset,
+                                 entry.dataLen};
                     coalesced_.inc();
-                } else if (cache_ &&
-                           cache_->lookup(tableId, index,
-                                          functional ? &buf : nullptr)) {
-                    done = issue + cache_->hitCycles();
-                    bytes = buf;
                 } else {
-                    const EvReadRequest req =
-                        translator_.translate(tableId, index);
-                    std::span<std::uint8_t> out;
-                    if (functional) {
-                        buf.resize(req.bytes.raw());
-                        out = buf;
+                    if (cache_ &&
+                        cache_->lookup(tableId, index,
+                                       functional ? &buf_ : nullptr)) {
+                        done = issue + cache_->hitCycles();
+                    } else {
+                        const EvReadRequest req =
+                            translator_.translate(tableId, index);
+                        std::span<std::uint8_t> out;
+                        if (functional) {
+                            buf_.resize(req.bytes.raw());
+                            out = buf_;
+                        }
+                        done = ftl_.readBytes(issue, req.lba,
+                                              req.byteInSector,
+                                              req.bytes, out);
+                        flashReads_.inc();
+                        lookupBytes_.inc(req.bytes.raw());
+                        if (cache_)
+                            cache_->fill(tableId, index, out);
                     }
-                    done = ftl_.readBytes(issue, req.lba,
-                                          req.byteInSector, req.bytes,
-                                          out);
-                    bytes = buf;
-                    flashReads_.inc();
-                    lookupBytes_.inc(req.bytes.raw());
-                    if (cache_) {
-                        cache_->fill(
-                            tableId, index,
-                            functional
-                                ? std::span<const std::uint8_t>(buf)
-                                : std::span<const std::uint8_t>());
-                    }
-                }
-                if (coalesce_ && it == seen.end()) {
-                    Slot slot;
-                    slot.done = done;
                     if (functional)
-                        slot.data.assign(bytes.begin(), bytes.end());
-                    seen.emplace(key, std::move(slot));
+                        bytes = buf_;
+                    if (coalesce_) {
+                        CoalesceEntry entry;
+                        entry.key = key;
+                        entry.done = done;
+                        entry.dataOffset = coalesceBytes_.size();
+                        entry.dataLen =
+                            static_cast<std::uint32_t>(bytes.size());
+                        entry.slot = slot;
+                        coalesceBytes_.insert(coalesceBytes_.end(),
+                                              bytes.begin(), bytes.end());
+                        coalesceEntries_.push_back(entry);
+                        coalesceSlots_[slot] = static_cast<std::uint32_t>(
+                            coalesceEntries_.size());
+                    }
                 }
 
                 tableDone = std::max(tableDone, done);
                 if (functional)
-                    EvSum::accumulateBytes(bytes, acc);
+                    EvSum::accumulateBytes(bytes, acc_);
                 lookups_.inc();
                 issue += EvTranslator::kCyclesPerIndex;
             }
             // fadd pipeline drains after the table's last vector.
             lastDone = std::max(lastDone, tableDone + EvSum::kDrainCycles);
             if (functional) {
-                pooledSample.insert(pooledSample.end(), acc.begin(),
-                                    acc.end());
+                pooledSample.insert(pooledSample.end(), acc_.begin(),
+                                    acc_.end());
             }
         }
         if (functional)

@@ -19,6 +19,7 @@
 #ifndef RMSSD_ENGINE_EMBEDDING_ENGINE_H
 #define RMSSD_ENGINE_EMBEDDING_ENGINE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -103,10 +104,43 @@ class EmbeddingEngine
     bool coalesces() const { return coalesce_; }
 
   private:
+    /** One unique (table, index) already served this micro-batch. */
+    struct CoalesceEntry
+    {
+        std::uint64_t key = 0;
+        Cycle done;
+        std::size_t dataOffset = 0; //!< into coalesceBytes_
+        std::uint32_t dataLen = 0;  //!< 0 when timing-only
+        std::uint32_t slot = 0;     //!< its position in coalesceSlots_
+    };
+
+    /**
+     * Empty the coalescing table left by the previous batch and size
+     * it for @p indices lookups at load <= 1/2.
+     */
+    void resetCoalescing(std::size_t indices);
+    /** Slot position holding @p key, or the empty one it belongs in. */
+    std::uint32_t coalesceSlot(std::uint64_t key) const;
+
     EvTranslator &translator_;
     ftl::Ftl &ftl_;
     EvCache *cache_;
     bool coalesce_;
+
+    /**
+     * Coalescing scratch reused across run() calls: a linear-probing
+     * table of entry numbers (0 = empty, else entry + 1; power-of-two
+     * size, grown on demand), the batch's unique entries in first-seen
+     * order (they double as the touched-slot list: only their slots
+     * are cleared before the next batch) and one arena holding every
+     * functional vector of the batch.
+     */
+    std::vector<std::uint32_t> coalesceSlots_;
+    std::vector<CoalesceEntry> coalesceEntries_;
+    std::vector<std::uint8_t> coalesceBytes_;
+    /** Vector read buffer and per-table EV Sum accumulator. */
+    std::vector<std::uint8_t> buf_;
+    std::vector<float> acc_;
 
     Counter lookups_;
     Counter lookupBytes_;

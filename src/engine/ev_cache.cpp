@@ -1,26 +1,12 @@
 #include "engine/ev_cache.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "sim/log.h"
+#include "sim/rng.h"
 
 namespace rmssd::engine {
-
-namespace {
-
-/** splitmix64 finalizer: spreads (table, index) keys over the sets. */
-std::uint64_t
-mixKey(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 std::vector<EvCachePartition>
 planTablePartitions(std::uint32_t numSets, std::span<const double> shares)
@@ -87,19 +73,20 @@ EvCache::EvCache(const EvCacheConfig &config, Bytes lineBytes)
     if (config.windowFraction > 0.0 && windowLines == 0 && lines > 1)
         windowLines = 1;
     windowLines = std::min(windowLines, lines - 1);
-    window_.resize(windowLines);
     const std::uint64_t mainLines = lines - windowLines;
     ways_ = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(ways_, mainLines));
-    const std::uint64_t numSets = std::max<std::uint64_t>(
-        1, mainLines / ways_);
-    sets_.resize(numSets);
-    for (auto &set : sets_)
-        set.resize(ways_);
+    numSets_ = static_cast<std::uint32_t>(
+        std::max<std::uint64_t>(1, mainLines / ways_));
+    windowBegin_ = static_cast<std::size_t>(numSets_) * ways_;
+    windowLines_ = static_cast<std::uint32_t>(windowLines);
+    const std::size_t totalLines = windowBegin_ + windowLines_;
+    keys_.assign(totalLines, 0);
+    lastUse_.assign(totalLines, 0);
+    dataLen_.assign(totalLines, 0);
 
     if (!config.tableShares.empty())
-        partitions_ = planTablePartitions(
-            static_cast<std::uint32_t>(numSets), config.tableShares);
+        partitions_ = planTablePartitions(numSets_, config.tableShares);
 
     if (config.admission == EvCacheAdmission::TinyLfu) {
         sketch_ = std::make_unique<FrequencySketch>(
@@ -118,15 +105,79 @@ EvCache::makeKey(TableId tableId, EvIndex index)
 }
 
 std::size_t
-EvCache::setIndex(TableId tableId, std::uint64_t key) const
+EvCache::setBase(TableId tableId, std::uint64_t key) const
 {
-    if (partitions_.empty())
-        return static_cast<std::size_t>(mixKey(key) % sets_.size());
-    RMSSD_ASSERT(tableId.raw() < partitions_.size(),
-                 "table id outside partition plan");
-    const EvCachePartition &p = partitions_[tableId.raw()];
-    return p.firstSet + static_cast<std::size_t>(
-                            mixKey(key) % p.numSets);
+    std::size_t set;
+    if (partitions_.empty()) {
+        set = static_cast<std::size_t>(splitmix64(key) % numSets_);
+    } else {
+        RMSSD_ASSERT(tableId.raw() < partitions_.size(),
+                     "table id outside partition plan");
+        const EvCachePartition &p = partitions_[tableId.raw()];
+        set = p.firstSet +
+              static_cast<std::size_t>(splitmix64(key) % p.numSets);
+    }
+    return set * ways_;
+}
+
+std::size_t
+EvCache::findLine(std::size_t begin, std::size_t end,
+                  std::uint64_t key) const
+{
+    for (std::size_t i = begin; i < end; ++i) {
+        if (keys_[i] == key && lastUse_[i] != 0)
+            return i;
+    }
+    return end;
+}
+
+std::size_t
+EvCache::lruLine(std::size_t begin, std::size_t end) const
+{
+    std::size_t victim = begin;
+    for (std::size_t i = begin + 1; i < end; ++i) {
+        if (lastUse_[i] < lastUse_[victim])
+            victim = i;
+    }
+    return victim;
+}
+
+void
+EvCache::install(std::size_t line, std::uint64_t key,
+                 std::span<const std::uint8_t> data)
+{
+    keys_[line] = key;
+    lastUse_[line] = ++tick_;
+    dataLen_[line] = static_cast<std::uint32_t>(data.size());
+    if (!data.empty()) {
+        RMSSD_ASSERT(data.size() <= lineBytes_.raw(),
+                     "EV cache fill larger than a line");
+        if (arena_.empty())
+            arena_.resize(lastUse_.size() * lineBytes_.raw());
+        std::copy(data.begin(), data.end(),
+                  arena_.begin() + static_cast<std::ptrdiff_t>(
+                                       line * lineBytes_.raw()));
+    }
+    fills_.inc();
+}
+
+std::span<const std::uint8_t>
+EvCache::lineData(std::size_t line) const
+{
+    if (dataLen_[line] == 0)
+        return {};
+    return {arena_.data() + line * lineBytes_.raw(), dataLen_[line]};
+}
+
+void
+EvCache::hit(std::size_t line, std::vector<std::uint8_t> *out)
+{
+    lastUse_[line] = ++tick_;
+    hits_.inc();
+    if (out) {
+        const std::span<const std::uint8_t> data = lineData(line);
+        out->assign(data.begin(), data.end());
+    }
 }
 
 bool
@@ -136,31 +187,21 @@ EvCache::lookup(TableId tableId, EvIndex index,
     const std::uint64_t key = makeKey(tableId, index);
     if (sketch_)
         sketch_->record(key);
-    for (Line &line : window_) {
-        if (line.valid && line.key == key) {
-            if (out && line.data.empty())
-                break;
-            line.lastUse = ++tick_;
-            hits_.inc();
-            admissionWindowHits_.inc();
-            if (out)
-                *out = line.data;
-            return true;
-        }
+    // A functional caller needs the bytes; a line installed by a
+    // timing-only run has none, so it cannot serve the hit. A dataless
+    // window line falls through to the main-set probe.
+    const std::size_t windowEnd = windowBegin_ + windowLines_;
+    const std::size_t w = findLine(windowBegin_, windowEnd, key);
+    if (w != windowEnd && !(out && dataLen_[w] == 0)) {
+        hit(w, out);
+        admissionWindowHits_.inc();
+        return true;
     }
-    auto &set = sets_[setIndex(tableId, key)];
-    for (Line &line : set) {
-        if (line.valid && line.key == key) {
-            // A functional caller needs the bytes; a line installed by
-            // a timing-only run has none, so it cannot serve the hit.
-            if (out && line.data.empty())
-                break;
-            line.lastUse = ++tick_;
-            hits_.inc();
-            if (out)
-                *out = line.data;
-            return true;
-        }
+    const std::size_t base = setBase(tableId, key);
+    const std::size_t m = findLine(base, base + ways_, key);
+    if (m != base + ways_ && !(out && dataLen_[m] == 0)) {
+        hit(m, out);
+        return true;
     }
     misses_.inc();
     return false;
@@ -171,120 +212,74 @@ EvCache::fill(TableId tableId, EvIndex index,
               std::span<const std::uint8_t> data)
 {
     const std::uint64_t key = makeKey(tableId, index);
-
-    if (!window_.empty()) {
-        // Refresh wherever the key already lives (window or main);
-        // otherwise new keys serve their probation in the window and
-        // only its LRU spill may contend for main admission.
-        for (Line &line : window_) {
-            if (line.valid && line.key == key) {
-                line.lastUse = ++tick_;
-                line.data.assign(data.begin(), data.end());
-                fills_.inc();
-                return;
-            }
-        }
-        auto &probeSet = sets_[setIndex(tableId, key)];
-        for (Line &line : probeSet) {
-            if (line.valid && line.key == key) {
-                fillMain(tableId, key, data);
-                return;
-            }
-        }
-        Line &slot = *std::min_element(
-            window_.begin(), window_.end(),
-            [](const Line &a, const Line &b) {
-                if (a.valid != b.valid)
-                    return !a.valid;
-                return a.lastUse < b.lastUse;
-            });
-        if (slot.valid) {
-            // Graduate the window victim toward the main cache; the
-            // TinyLFU filter inside fillMain decides admission.
-            const TableId victimTable{
-                static_cast<std::uint32_t>(slot.key >> 48)};
-            fillMain(victimTable, slot.key, slot.data);
-        }
-        slot.valid = true;
-        slot.key = key;
-        slot.lastUse = ++tick_;
-        slot.data.assign(data.begin(), data.end());
-        fills_.inc();
+    if (windowLines_ == 0) {
+        fillMain(tableId, key, data);
         return;
     }
 
-    fillMain(tableId, key, data);
+    // Refresh wherever the key already lives (window or main);
+    // otherwise new keys serve their probation in the window and only
+    // its LRU spill may contend for main admission.
+    const std::size_t windowEnd = windowBegin_ + windowLines_;
+    std::size_t slot = findLine(windowBegin_, windowEnd, key);
+    if (slot == windowEnd) {
+        const std::size_t base = setBase(tableId, key);
+        if (findLine(base, base + ways_, key) != base + ways_) {
+            fillMain(tableId, key, data);
+            return;
+        }
+        slot = lruLine(windowBegin_, windowEnd);
+        if (lastUse_[slot] != 0) {
+            // Graduate the window victim toward the main cache; the
+            // TinyLFU filter inside fillMain decides admission.
+            const TableId victimTable{
+                static_cast<std::uint32_t>(keys_[slot] >> 48)};
+            fillMain(victimTable, keys_[slot], lineData(slot));
+        }
+    }
+    install(slot, key, data);
 }
 
 void
 EvCache::fillMain(TableId tableId, std::uint64_t key,
                   std::span<const std::uint8_t> data)
 {
-    auto &set = sets_[setIndex(tableId, key)];
-
-    Line *victim = nullptr;
-    for (Line &line : set) {
-        if (line.valid && line.key == key) {
-            victim = &line; // refresh an existing line
-            break;
+    const std::size_t base = setBase(tableId, key);
+    std::size_t victim = findLine(base, base + ways_, key);
+    if (victim == base + ways_) {
+        victim = lruLine(base, base + ways_);
+        if (lastUse_[victim] != 0) {
+            // TinyLFU admission: displacing a valid line must be
+            // earned — the candidate's estimated frequency has to beat
+            // the victim's, otherwise the one-hit cold tail would keep
+            // flushing hot lines exactly as under plain LRU.
+            if (sketch_ && sketch_->estimate(key) <=
+                               sketch_->estimate(keys_[victim])) {
+                admissionRejects_.inc();
+                return;
+            }
+            evictions_.inc();
         }
-        if (!line.valid && !victim)
-            victim = &line;
     }
-    if (!victim) {
-        victim = &*std::min_element(
-            set.begin(), set.end(), [](const Line &a, const Line &b) {
-                return a.lastUse < b.lastUse;
-            });
-        // TinyLFU admission: displacing a valid line must be earned —
-        // the candidate's estimated frequency has to beat the
-        // victim's, otherwise the one-hit cold tail would keep
-        // flushing hot lines exactly as under plain LRU.
-        if (sketch_ &&
-            sketch_->estimate(key) <= sketch_->estimate(victim->key)) {
-            admissionRejects_.inc();
-            return;
-        }
-        evictions_.inc();
-    }
-
-    victim->valid = true;
-    victim->key = key;
-    victim->lastUse = ++tick_;
-    victim->data.assign(data.begin(), data.end());
-    fills_.inc();
+    install(victim, key, data);
 }
 
 bool
 EvCache::contains(TableId tableId, EvIndex index) const
 {
     const std::uint64_t key = makeKey(tableId, index);
-    const auto inWindow =
-        std::any_of(window_.begin(), window_.end(),
-                    [&](const Line &line) {
-                        return line.valid && line.key == key;
-                    });
-    if (inWindow)
+    const std::size_t windowEnd = windowBegin_ + windowLines_;
+    if (findLine(windowBegin_, windowEnd, key) != windowEnd)
         return true;
-    const auto &set = sets_[setIndex(tableId, key)];
-    return std::any_of(set.begin(), set.end(), [&](const Line &line) {
-        return line.valid && line.key == key;
-    });
+    const std::size_t base = setBase(tableId, key);
+    return findLine(base, base + ways_, key) != base + ways_;
 }
 
 void
 EvCache::invalidate()
 {
-    for (auto &set : sets_) {
-        for (Line &line : set) {
-            line.valid = false;
-            line.data.clear();
-        }
-    }
-    for (Line &line : window_) {
-        line.valid = false;
-        line.data.clear();
-    }
+    std::fill(lastUse_.begin(), lastUse_.end(), std::uint64_t{0});
+    std::fill(dataLen_.begin(), dataLen_.end(), std::uint32_t{0});
 }
 
 double

@@ -37,6 +37,7 @@
 #ifndef RMSSD_ENGINE_EV_CACHE_H
 #define RMSSD_ENGINE_EV_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -169,10 +170,7 @@ class EvCache
     /** Drop all lines; counters and the sketch are kept. */
     void invalidate();
 
-    std::uint32_t numSets() const
-    {
-        return static_cast<std::uint32_t>(sets_.size());
-    }
+    std::uint32_t numSets() const { return numSets_; }
     std::uint32_t ways() const { return ways_; }
     Bytes lineBytes() const { return lineBytes_; }
     Cycle hitCycles() const { return hitCycles_; }
@@ -197,25 +195,27 @@ class EvCache
     }
 
     /** Lines in the admission window (0 = no window). */
-    std::uint32_t windowLines() const
-    {
-        return static_cast<std::uint32_t>(window_.size());
-    }
+    std::uint32_t windowLines() const { return windowLines_; }
 
     /** Measured hit ratio so far (0 when never probed). */
     double hitRatio() const;
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        std::uint64_t key = 0;
-        std::uint64_t lastUse = 0;
-        std::vector<std::uint8_t> data;
-    };
-
     static std::uint64_t makeKey(TableId tableId, EvIndex index);
-    std::size_t setIndex(TableId tableId, std::uint64_t key) const;
+    /** First line index of the main set holding @p key. */
+    std::size_t setBase(TableId tableId, std::uint64_t key) const;
+    /** Valid line holding @p key in [begin, end), or end. */
+    std::size_t findLine(std::size_t begin, std::size_t end,
+                         std::uint64_t key) const;
+    /** First least-recently-used line of [begin, end); invalid wins. */
+    std::size_t lruLine(std::size_t begin, std::size_t end) const;
+    /** Make @p line the MRU holder of @p key with payload @p data. */
+    void install(std::size_t line, std::uint64_t key,
+                 std::span<const std::uint8_t> data);
+    /** Payload of @p line (empty when installed timing-only). */
+    std::span<const std::uint8_t> lineData(std::size_t line) const;
+    /** Hit bookkeeping; copies the payload into @p out if non-null. */
+    void hit(std::size_t line, std::vector<std::uint8_t> *out);
 
     /** Fill the main set array (shared by fill() and window spill). */
     void fillMain(TableId tableId, std::uint64_t key,
@@ -225,8 +225,24 @@ class EvCache
     std::uint32_t ways_;
     Cycle hitCycles_;
     std::uint64_t tick_ = 0; //!< monotonic LRU clock
-    std::vector<std::vector<Line>> sets_;
-    std::vector<Line> window_; //!< W-TinyLFU window; empty = off
+    std::uint32_t numSets_ = 0;
+    /**
+     * Line storage as parallel arrays indexed by line: main set s owns
+     * lines [s*ways, (s+1)*ways); the W-TinyLFU window (windowLines_
+     * lines, 0 = off) follows at windowBegin_ = numSets*ways.
+     */
+    std::size_t windowBegin_ = 0;
+    std::uint32_t windowLines_ = 0;
+    std::vector<std::uint64_t> keys_;
+    /** LRU stamp; 0 marks an invalid line (tick_ is pre-incremented). */
+    std::vector<std::uint64_t> lastUse_;
+    /** Payload bytes held (0 = timing-only line). */
+    std::vector<std::uint32_t> dataLen_;
+    /**
+     * lineBytes per line, allocated by the first fill that carries
+     * data, so timing-only runs never pay for it.
+     */
+    std::vector<std::uint8_t> arena_;
     std::vector<EvCachePartition> partitions_; //!< empty = shared
     std::unique_ptr<FrequencySketch> sketch_;  //!< TinyLfu only
 

@@ -70,7 +70,6 @@ Ftl::readSectors(Cycle issue, Lba lba, Sectors sectors,
     Lba sector = lba;
     std::uint64_t remaining = sectors.raw();
     std::size_t outPos = 0;
-    std::vector<std::uint8_t> pageBuf;
     while (remaining > 0) {
         const PageId lpn{sector.raw() / spp};
         const std::uint32_t first =
@@ -80,20 +79,15 @@ Ftl::readSectors(Cycle issue, Lba lba, Sectors sectors,
 
         const PageId ppn = mapping_->translate(lpn);
         const Cycle reqIssue = issue + kTranslateCycles;
-        if (out.empty()) {
-            done = std::max(
-                done, array_.readPage(reqIssue, ppn, {}).done);
-        } else {
-            pageBuf.resize(pageSize());
-            done = std::max(
-                done, array_.readPage(reqIssue, ppn, pageBuf).done);
-            std::copy_n(pageBuf.begin() +
-                            static_cast<std::ptrdiff_t>(first * secSize),
-                        static_cast<std::size_t>(inPage) * secSize,
-                        out.begin() +
-                            static_cast<std::ptrdiff_t>(outPos));
-            outPos += static_cast<std::size_t>(inPage) * secSize;
-        }
+        done = std::max(done, array_.readPage(reqIssue, ppn, {}).done);
+        // The die senses the whole page; only the requested sectors
+        // are copied, straight from the backing store into out.
+        const std::size_t chunk =
+            static_cast<std::size_t>(inPage) * secSize;
+        if (!out.empty())
+            array_.store().read(ppn, Bytes{first * secSize},
+                                out.subspan(outPos, chunk));
+        outPos += chunk;
         sector = sector + Sectors{inPage};
         remaining -= inPage;
     }

@@ -13,35 +13,52 @@ TraceGenerator::TraceGenerator(const model::ModelConfig &config,
     : config_(config), trace_(trace), rng_(trace.seed)
 {
     RMSSD_ASSERT(trace_.hotRowsPerTable > 0, "empty hot set");
-    hotSets_.resize(config_.numTables);
-    for (std::uint32_t t = 0; t < config_.numTables; ++t) {
-        hotSets_[t].reserve(trace_.hotRowsPerTable);
-        for (std::uint64_t r = 0; r < trace_.hotRowsPerTable; ++r)
-            hotSets_[t].insert(hotRow(t, r));
-    }
+    // Scatter the hot set across the table deterministically so hot
+    // rows land on distinct flash/cache pages: rank r of table t is
+    // hashCombine(hashCombine(seed, t), r), the inner hash fixed here.
+    tableSeeds_.resize(config_.numTables);
+    for (std::uint32_t t = 0; t < config_.numTables; ++t)
+        tableSeeds_[t] = hashCombine(trace_.seed, t);
 }
 
 std::uint64_t
 TraceGenerator::hotRow(std::uint32_t table, std::uint64_t rank) const
 {
-    // Scatter the hot set across the table deterministically so hot
-    // rows land on distinct flash/cache pages.
-    const std::uint64_t h =
-        hashCombine(hashCombine(trace_.seed, table), rank);
-    return h % config_.rowsPerTable;
+    RMSSD_ASSERT(table < tableSeeds_.size(), "table out of range");
+    return hashCombine(tableSeeds_[table], rank) % config_.rowsPerTable;
 }
 
 bool
 TraceGenerator::isHotRow(std::uint32_t table, std::uint64_t row) const
 {
-    RMSSD_ASSERT(table < hotSets_.size(), "table out of range");
-    return hotSets_[table].contains(row);
+    RMSSD_ASSERT(table < config_.numTables, "table out of range");
+    const std::uint64_t n = trace_.hotRowsPerTable;
+    if (hotRowsSorted_.empty()) {
+        // Built on first use: only profiling asks, so a generator that
+        // just streams samples never pays for the rows or the sort.
+        hotRowsSorted_.resize(static_cast<std::size_t>(config_.numTables * n));
+        for (std::uint32_t t = 0; t < config_.numTables; ++t) {
+            const auto first = hotRowsSorted_.begin() +
+                               static_cast<std::ptrdiff_t>(t * n);
+            for (std::uint64_t r = 0; r < n; ++r)
+                first[static_cast<std::ptrdiff_t>(r)] = hotRow(t, r);
+            std::sort(first, first + static_cast<std::ptrdiff_t>(n));
+        }
+    }
+    const auto first =
+        hotRowsSorted_.begin() + static_cast<std::ptrdiff_t>(table * n);
+    return std::binary_search(first, first + static_cast<std::ptrdiff_t>(n),
+                              row);
 }
 
 std::uint64_t
-TraceGenerator::drawIndexWith(Rng &rng, std::uint32_t table) const
+TraceGenerator::drawIndexWith(Rng &rng, std::uint32_t table,
+                              bool *hotDraw) const
 {
-    if (rng.nextDouble() < trace_.tableHotFraction(table)) {
+    const bool hot = rng.nextDouble() < trace_.tableHotFraction(table);
+    if (hotDraw)
+        *hotDraw = hot;
+    if (hot) {
         // Zipf-skewed rank inside the hot set.
         const double u = rng.nextDouble();
         const std::uint64_t rank = static_cast<std::uint64_t>(
@@ -148,9 +165,12 @@ TraceGenerator::tableHistograms(std::uint64_t lookupsPerTable) const
         TableHistogram &h = hist[t];
         h.totalLookups = lookupsPerTable;
         for (std::uint64_t i = 0; i < lookupsPerTable; ++i) {
-            const std::uint64_t idx = drawIndexWith(rng, t);
+            bool hotDraw = false;
+            const std::uint64_t idx = drawIndexWith(rng, t, &hotDraw);
             const bool first = ++counts[idx] == 1;
-            if (isHotRow(t, idx)) {
+            // A hot draw lands in the hot set by construction; only a
+            // uniform draw needs the membership search.
+            if (hotDraw || isHotRow(t, idx)) {
                 ++h.hotLookups;
                 if (first)
                     ++h.uniqueHotIndices;

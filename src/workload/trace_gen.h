@@ -9,7 +9,6 @@
 #define RMSSD_WORKLOAD_TRACE_GEN_H
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "engine/placement.h"
@@ -93,18 +92,20 @@ class TraceGenerator
 
   private:
     std::uint64_t drawIndex(std::uint32_t table);
-    std::uint64_t drawIndexWith(Rng &rng, std::uint32_t table) const;
+    /** One index draw; @p hotDraw (optional) reports a hot-set draw. */
+    std::uint64_t drawIndexWith(Rng &rng, std::uint32_t table,
+                                bool *hotDraw = nullptr) const;
 
     model::ModelConfig config_;
     TraceConfig trace_;
     Rng rng_;
+    /** Per-table hash seed of the hot-row scatter (see hotRow). */
+    std::vector<std::uint64_t> tableSeeds_;
     /**
-     * Per-table hot-row membership (precomputed at construction).
-     * Determinism audit: contains() only; never iterate a set
-     * (bucket order is a platform artifact) — rank-ordered hot rows
-     * come from hotRow(t, rank) instead.
+     * Every table's hot rows, each table's run sorted ascending; built
+     * by the first isHotRow call, which binary-searches it.
      */
-    std::vector<std::unordered_set<std::uint64_t>> hotSets_;
+    mutable std::vector<std::uint64_t> hotRowsSorted_;
 };
 
 /**

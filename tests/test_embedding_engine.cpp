@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 
 #include "engine/embedding_engine.h"
 #include "engine/ev_sum.h"
@@ -135,6 +136,95 @@ TEST(EmbeddingEngine, BatchTimeScalesRoughlyLinearly)
                          .elapsed();
     EXPECT_GT(t4, 2 * t1);
     EXPECT_LT(t4, 8 * t1);
+}
+
+/** Duplicate (table, index) lookups of one batch, by a std::map. */
+std::uint64_t
+duplicatesIn(const std::vector<model::Sample> &batch)
+{
+    std::map<std::pair<std::size_t, std::uint64_t>, std::uint32_t> seen;
+    std::uint64_t dups = 0;
+    for (const model::Sample &s : batch)
+        for (std::size_t t = 0; t < s.indices.size(); ++t)
+            for (const std::uint64_t idx : s.indices[t])
+                dups += ++seen[{t, idx}] > 1 ? 1 : 0;
+    return dups;
+}
+
+/**
+ * Back-to-back batches whose keys overlap across batches (each batch
+ * reuses rows of the one before) and within a batch, growing to a
+ * batch larger than any earlier one.
+ */
+std::vector<std::vector<model::Sample>>
+overlappingBatches(const model::DlrmModel &model)
+{
+    std::vector<std::vector<model::Sample>> batches;
+    std::uint64_t seed = 100;
+    for (const std::size_t size : {3u, 1u, 4u, 2u, 12u}) {
+        std::vector<model::Sample> batch;
+        for (std::size_t i = 0; i < size; ++i)
+            batch.push_back(model.makeSample(seed++));
+        if (!batches.empty()) {
+            // Carry rows over from the previous batch: they were read
+            // there and must be read again here, not coalesced.
+            const model::Sample &prev = batches.back().front();
+            for (std::size_t t = 0; t < batch[0].indices.size(); t += 2)
+                batch[0].indices[t] = prev.indices[t];
+        }
+        batch[0].indices[5][1] = batch[0].indices[5][0];
+        if (size > 1)
+            batch[1].indices[3] = batch[0].indices[3];
+        batches.push_back(std::move(batch));
+    }
+    return batches;
+}
+
+TEST(CoalescingScratch, NoKeyCoalescesAcrossBatches)
+{
+    const model::ModelConfig cfg = tinyConfig();
+    RmSsdOptions coalOpt = functionalOptions();
+    coalOpt.coalesceIndices = true;
+    RmSsd plain(cfg, functionalOptions());
+    RmSsd coal(cfg, coalOpt);
+    RmSsdOptions cachedOpt = coalOpt;
+    cachedOpt.evCache.enabled = true;
+    RmSsd cached(cfg, cachedOpt);
+    plain.loadTables();
+    coal.loadTables();
+    cached.loadTables();
+
+    std::uint64_t expected = 0;
+    for (const auto &batch : overlappingBatches(plain.model())) {
+        const std::uint64_t dups = duplicatesIn(batch);
+        ASSERT_GT(dups, 0u);
+        expected += dups;
+        for (const bool functional : {true, false}) {
+            const EmbeddingResult a = plain.embeddingEngine().run(
+                Cycle{}, std::span(batch), functional);
+            const EmbeddingResult b = coal.embeddingEngine().run(
+                Cycle{}, std::span(batch), functional);
+            const EmbeddingResult c = cached.embeddingEngine().run(
+                Cycle{}, std::span(batch), functional);
+            ASSERT_EQ(a.pooled.size(), functional ? batch.size() : 0u);
+            ASSERT_EQ(b.pooled.size(), a.pooled.size());
+            ASSERT_EQ(c.pooled.size(), a.pooled.size());
+            for (std::size_t i = 0; i < a.pooled.size(); ++i) {
+                EXPECT_EQ(a.pooled[i], b.pooled[i]) << "sample " << i;
+                EXPECT_EQ(a.pooled[i], c.pooled[i]) << "sample " << i;
+            }
+        }
+        expected += dups; // the timing-only rerun coalesces the same
+        EXPECT_EQ(coal.embeddingEngine().coalescedLookups().value(),
+                  expected);
+        EXPECT_EQ(cached.embeddingEngine().coalescedLookups().value(),
+                  expected);
+        // Without a cache every lookup that did not coalesce reads
+        // flash, carried-over keys included.
+        EXPECT_EQ(coal.embeddingEngine().flashReads().value() + expected,
+                  coal.embeddingEngine().lookups().value());
+    }
+    EXPECT_GT(cached.evCache()->hits().value(), 0u);
 }
 
 class SteadyStateRate : public ::testing::TestWithParam<std::uint32_t>

@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "engine/embedding_engine.h"
 #include "engine/ev_cache.h"
 #include "engine/rm_ssd.h"
 #include "model/model_zoo.h"
+#include "sim/rng.h"
 #include "workload/trace_gen.h"
 
 namespace rmssd::engine {
@@ -723,6 +725,319 @@ TEST(RmSsdCache, SearchAdaptsToExpectedHitRatio)
         static_cast<double>(cached.searchResult().embReadCycles.raw()) /
         cached.searchResult().plan.microBatch;
     EXPECT_LT(perReadCached, perReadPlain);
+}
+
+// ---------------------------------------------------------------------
+// Lockstep reference: the array-of-structs cache (one heap payload per
+// line) that EvCache replaced, kept here as an executable specification
+// of lookup, fill, window spill, TinyLFU admission and LRU victim order.
+
+/** Array-of-structs EV cache: the behaviour EvCache must reproduce. */
+class RefEvCache
+{
+  public:
+    RefEvCache(const EvCacheConfig &config, Bytes lineBytes)
+        : ways_(config.ways)
+    {
+        const std::uint64_t lines = std::max<std::uint64_t>(
+            1, config.capacityBytes / lineBytes);
+        std::uint64_t windowLines = static_cast<std::uint64_t>(
+            config.windowFraction * static_cast<double>(lines));
+        if (config.windowFraction > 0.0 && windowLines == 0 && lines > 1)
+            windowLines = 1;
+        windowLines = std::min(windowLines, lines - 1);
+        window_.resize(windowLines);
+        const std::uint64_t mainLines = lines - windowLines;
+        ways_ = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(ways_, mainLines));
+        sets_.resize(std::max<std::uint64_t>(1, mainLines / ways_));
+        for (auto &set : sets_)
+            set.resize(ways_);
+        if (!config.tableShares.empty())
+            partitions_ = planTablePartitions(
+                static_cast<std::uint32_t>(sets_.size()),
+                config.tableShares);
+        if (config.admission == EvCacheAdmission::TinyLfu)
+            sketch_ = std::make_unique<FrequencySketch>(
+                lines * config.sketchCountersPerLine,
+                lines * config.sketchSamplePerLine);
+    }
+
+    bool lookup(TableId tableId, EvIndex index,
+                std::vector<std::uint8_t> *out)
+    {
+        const std::uint64_t key = makeKey(tableId, index);
+        if (sketch_)
+            sketch_->record(key);
+        for (Line &line : window_) {
+            if (line.valid && line.key == key) {
+                if (out && line.data.empty())
+                    break;
+                line.lastUse = ++tick_;
+                ++hits;
+                ++windowHits;
+                if (out)
+                    *out = line.data;
+                return true;
+            }
+        }
+        for (Line &line : sets_[setIndex(tableId, key)]) {
+            if (line.valid && line.key == key) {
+                if (out && line.data.empty())
+                    break;
+                line.lastUse = ++tick_;
+                ++hits;
+                if (out)
+                    *out = line.data;
+                return true;
+            }
+        }
+        ++misses;
+        return false;
+    }
+
+    void fill(TableId tableId, EvIndex index,
+              std::span<const std::uint8_t> data)
+    {
+        const std::uint64_t key = makeKey(tableId, index);
+        if (window_.empty()) {
+            fillMain(tableId, key, data);
+            return;
+        }
+        for (Line &line : window_) {
+            if (line.valid && line.key == key) {
+                line.lastUse = ++tick_;
+                line.data.assign(data.begin(), data.end());
+                ++fills;
+                return;
+            }
+        }
+        for (Line &line : sets_[setIndex(tableId, key)]) {
+            if (line.valid && line.key == key) {
+                fillMain(tableId, key, data);
+                return;
+            }
+        }
+        Line &slot = *std::min_element(
+            window_.begin(), window_.end(),
+            [](const Line &a, const Line &b) {
+                if (a.valid != b.valid)
+                    return !a.valid;
+                return a.lastUse < b.lastUse;
+            });
+        if (slot.valid)
+            fillMain(TableId{static_cast<std::uint32_t>(slot.key >> 48)},
+                     slot.key, slot.data);
+        slot.valid = true;
+        slot.key = key;
+        slot.lastUse = ++tick_;
+        slot.data.assign(data.begin(), data.end());
+        ++fills;
+    }
+
+    bool contains(TableId tableId, EvIndex index) const
+    {
+        const std::uint64_t key = makeKey(tableId, index);
+        for (const Line &line : window_)
+            if (line.valid && line.key == key)
+                return true;
+        for (const Line &line : sets_[setIndex(tableId, key)])
+            if (line.valid && line.key == key)
+                return true;
+        return false;
+    }
+
+    void invalidate()
+    {
+        // Invalid lines keep their stale key and stamp, as before.
+        for (auto &set : sets_) {
+            for (Line &line : set) {
+                line.valid = false;
+                line.data.clear();
+            }
+        }
+        for (Line &line : window_) {
+            line.valid = false;
+            line.data.clear();
+        }
+    }
+
+    std::uint64_t hits = 0, misses = 0, fills = 0, evictions = 0,
+                  rejects = 0, windowHits = 0;
+
+  private:
+    struct Line
+    {
+        std::uint64_t key = 0;
+        std::uint64_t lastUse = 0; //!< kept stale when invalidated
+        bool valid = false;
+        std::vector<std::uint8_t> data;
+    };
+
+    static std::uint64_t makeKey(TableId tableId, EvIndex index)
+    {
+        return (static_cast<std::uint64_t>(tableId.raw()) << 48) |
+               index.raw();
+    }
+
+    std::size_t setIndex(TableId tableId, std::uint64_t key) const
+    {
+        if (partitions_.empty())
+            return static_cast<std::size_t>(splitmix64(key) %
+                                            sets_.size());
+        const EvCachePartition &p = partitions_[tableId.raw()];
+        return p.firstSet +
+               static_cast<std::size_t>(splitmix64(key) % p.numSets);
+    }
+
+    void fillMain(TableId tableId, std::uint64_t key,
+                  std::span<const std::uint8_t> data)
+    {
+        auto &set = sets_[setIndex(tableId, key)];
+        Line *victim = nullptr;
+        for (Line &line : set) {
+            if (line.valid && line.key == key) {
+                victim = &line;
+                break;
+            }
+            if (!line.valid && !victim)
+                victim = &line;
+        }
+        if (!victim) {
+            victim = &*std::min_element(
+                set.begin(), set.end(), [](const Line &a, const Line &b) {
+                    return a.lastUse < b.lastUse;
+                });
+            if (sketch_ &&
+                sketch_->estimate(key) <= sketch_->estimate(victim->key)) {
+                ++rejects;
+                return;
+            }
+            ++evictions;
+        }
+        victim->valid = true;
+        victim->key = key;
+        victim->lastUse = ++tick_;
+        victim->data.assign(data.begin(), data.end());
+        ++fills;
+    }
+
+    std::uint32_t ways_;
+    std::uint64_t tick_ = 0;
+    std::vector<std::vector<Line>> sets_;
+    std::vector<Line> window_;
+    std::vector<EvCachePartition> partitions_;
+    std::unique_ptr<FrequencySketch> sketch_;
+};
+
+/** Payload of (key, version): refreshed fills carry new bytes. */
+std::vector<std::uint8_t>
+payload(std::uint64_t key, std::uint64_t version, std::uint32_t bytes)
+{
+    std::vector<std::uint8_t> data(bytes);
+    for (std::uint32_t i = 0; i < bytes; ++i)
+        data[i] = static_cast<std::uint8_t>(
+            splitmix64(hashCombine(key, version) + i));
+    return data;
+}
+
+TEST(EvCacheLockstep, MatchesAosReferenceOnSkewedStreams)
+{
+    constexpr std::uint32_t kTables = 3;
+    constexpr std::uint64_t kRows = 400;
+    constexpr std::uint32_t kLineBytes = 16;
+    constexpr int kOps = 12000;
+
+    for (const bool partitioned : {false, true}) {
+        for (const EvCacheAdmission admission :
+             {EvCacheAdmission::AlwaysAdmit, EvCacheAdmission::TinyLfu}) {
+            for (const double window : {0.0, 0.05}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "partitioned " << partitioned
+                             << " tinylfu "
+                             << (admission == EvCacheAdmission::TinyLfu)
+                             << " window " << window);
+                EvCacheConfig cc;
+                cc.enabled = true;
+                cc.capacityBytes = Bytes{96 * kLineBytes};
+                cc.ways = 4;
+                cc.admission = admission;
+                cc.windowFraction = window;
+                if (partitioned)
+                    cc.tableShares = {1.0, 2.0, 3.0};
+                EvCache cache(cc, Bytes{kLineBytes});
+                RefEvCache ref(cc, Bytes{kLineBytes});
+                ASSERT_EQ(cache.windowLines() > 0, window > 0.0);
+
+                Rng rng(partitioned * 4 + (window > 0.0) * 2 +
+                        (admission == EvCacheAdmission::TinyLfu));
+                std::vector<std::uint8_t> got, want;
+                for (int op = 0; op < kOps; ++op) {
+                    if (op == kOps / 2) {
+                        cache.invalidate();
+                        ref.invalidate();
+                    }
+                    // Skewed keys: 3/4 of draws hit 48 rows per table
+                    // with a squared-uniform rank, the rest are uniform.
+                    const TableId table{static_cast<std::uint32_t>(
+                        rng.nextBounded(kTables))};
+                    const double u = rng.nextDouble();
+                    const EvIndex index{
+                        rng.nextDouble() < 0.75
+                            ? static_cast<std::uint64_t>(u * u * 48)
+                            : rng.nextBounded(kRows)};
+                    const bool functional = rng.nextBounded(2) == 0;
+                    const std::uint64_t key =
+                        (static_cast<std::uint64_t>(table.raw()) << 48) |
+                        index.raw();
+
+                    got.clear();
+                    want.clear();
+                    const bool hit = cache.lookup(
+                        table, index, functional ? &got : nullptr);
+                    const bool refHit = ref.lookup(
+                        table, index, functional ? &want : nullptr);
+                    ASSERT_EQ(hit, refHit) << "op " << op;
+                    ASSERT_EQ(got, want) << "op " << op;
+                    if (!hit || rng.nextBounded(8) == 0) {
+                        // Miss served from flash (or a refresh).
+                        const auto version = static_cast<std::uint64_t>(op);
+                        const std::vector<std::uint8_t> data =
+                            functional ? payload(key, version, kLineBytes)
+                                       : std::vector<std::uint8_t>{};
+                        cache.fill(table, index, data);
+                        ref.fill(table, index, data);
+                    }
+                    ASSERT_EQ(cache.hits().value(), ref.hits) << "op " << op;
+                    ASSERT_EQ(cache.misses().value(), ref.misses);
+                    ASSERT_EQ(cache.fills().value(), ref.fills) << "op " << op;
+                    ASSERT_EQ(cache.evictions().value(), ref.evictions)
+                        << "op " << op;
+                    ASSERT_EQ(cache.admissionRejects().value(), ref.rejects)
+                        << "op " << op;
+                    ASSERT_EQ(cache.admissionWindowHits().value(),
+                              ref.windowHits)
+                        << "op " << op;
+                    if (op % 199 != 0 && op != kOps - 1)
+                        continue;
+                    for (std::uint32_t t = 0; t < kTables; ++t)
+                        for (std::uint64_t r = 0; r < kRows; ++r)
+                            ASSERT_EQ(cache.contains(TableId{t}, EvIndex{r}),
+                                      ref.contains(TableId{t}, EvIndex{r}))
+                                << "op " << op << " key " << t << "/" << r;
+                }
+                // The stream must exercise every path it is meant to.
+                EXPECT_GT(ref.hits, 1000u);
+                EXPECT_GT(ref.evictions, 100u);
+                if (admission == EvCacheAdmission::TinyLfu) {
+                    EXPECT_GT(ref.rejects, 100u);
+                }
+                if (window > 0.0) {
+                    EXPECT_GT(ref.windowHits, 20u);
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "flash/flash_array.h"
@@ -189,6 +190,44 @@ TEST_F(FtlFixture, ReadSectorsChargesWholePagesAndCounts)
                         array_.timing().pageReadTotalCycles());
     EXPECT_EQ(array_.totalPageReads(), 2u);
     EXPECT_EQ(ftl_.blockRequests().value(), 1u);
+}
+
+TEST_F(FtlFixture, UnalignedMultiPageReadMatchesFunctionalBytes)
+{
+    // Sectors 5..25: a partial head page, two whole pages and a
+    // partial tail page; pages 0-1 written, pages 2-3 unwritten filler.
+    std::vector<std::uint8_t> data(2 * 4096);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(splitmix64(i));
+    ftl_.writeBytesFunctional(Lba{}, Bytes{}, data);
+
+    const Lba lba{5};
+    const Sectors sectors{21};
+    std::vector<std::uint8_t> out(sectors.raw() * 512);
+    const Cycle done = ftl_.readSectors(Cycle{}, lba, sectors, out);
+
+    // The same range, one page-bounded piece at a time.
+    std::vector<std::uint8_t> want(out.size());
+    for (std::size_t pos = 0; pos < want.size();) {
+        const std::uint64_t sector = lba.raw() + pos / 512;
+        const std::size_t chunk = std::min<std::size_t>(
+            want.size() - pos, (8 - sector % 8) * 512);
+        ftl_.readBytesFunctional(
+            Lba{sector}, Bytes{},
+            std::span(want).subspan(pos, chunk));
+        pos += chunk;
+    }
+    EXPECT_EQ(out, want);
+
+    // Timing and counters are those of a timing-only read.
+    flash::FlashArray timingArray(flash::tableIIGeometry(),
+                                  flash::tableIITiming());
+    Ftl timingFtl = Ftl::makeLinear(timingArray);
+    EXPECT_EQ(done, timingFtl.readSectors(Cycle{}, lba, sectors, {}));
+    EXPECT_EQ(array_.totalPageReads(), 4u);
+    EXPECT_EQ(timingArray.totalPageReads(), 4u);
+    EXPECT_EQ(ftl_.blockRequests().value(), 1u);
+    EXPECT_EQ(timingFtl.blockRequests().value(), 1u);
 }
 
 TEST_F(FtlFixture, EvReadUsesVectorPathAndCounts)

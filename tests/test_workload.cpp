@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "model/model_zoo.h"
+#include "sim/rng.h"
 #include "workload/driver.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
@@ -117,6 +120,63 @@ TEST(TraceGenerator, HistogramIsSkewed)
         EXPECT_LE(h.top[i].first, h.top[i - 1].first);
     // A large one-hit-wonder tail, like Fig. 4.
     EXPECT_GT(h.onceAccessed, h.uniqueIndices / 2);
+}
+
+TEST(TraceGenerator, HotRowMembershipMatchesHotRanks)
+{
+    const model::ModelConfig cfg = smallConfig();
+    TraceConfig tc = localityK(0.3);
+    tc.hotRowsPerTable = 2000;
+    const TraceGenerator gen(cfg, tc);
+    Rng rng(42);
+    for (std::uint32_t t = 0; t < cfg.numTables; ++t) {
+        std::set<std::uint64_t> hot;
+        for (std::uint64_t r = 0; r < tc.hotRowsPerTable; ++r) {
+            const std::uint64_t row = gen.hotRow(t, r);
+            ASSERT_TRUE(gen.isHotRow(t, row)) << "table " << t
+                                              << " rank " << r;
+            hot.insert(row);
+        }
+        std::uint32_t cold = 0;
+        for (int i = 0; i < 2000; ++i) {
+            const std::uint64_t row = rng.nextBounded(cfg.rowsPerTable);
+            EXPECT_EQ(gen.isHotRow(t, row), hot.contains(row))
+                << "table " << t << " row " << row;
+            cold += hot.contains(row) ? 0u : 1u;
+        }
+        EXPECT_GT(cold, 1900u); // the sample really probes cold rows
+    }
+}
+
+/** FNV-1a over the little-endian bytes of @p v. */
+void
+fnvMix(std::uint64_t &h, std::uint64_t v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+TEST(TraceGenerator, StreamAndHistogramDigestIsPinned)
+{
+    // Digest of the first 64 RMC1 samples' indices at K = 0.3 and of
+    // tableHistograms(20000), recorded from the hash-per-draw
+    // generator: any change to how hot rows are drawn or classified
+    // that moves a single index or count fails here.
+    TraceGenerator gen(model::rmc1(), localityK(0.3));
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < 64; ++i)
+        for (const auto &table : gen.next().indices)
+            for (const std::uint64_t idx : table)
+                fnvMix(h, idx);
+    for (const auto &th : gen.tableHistograms(20000)) {
+        fnvMix(h, th.totalLookups);
+        fnvMix(h, th.uniqueIndices);
+        fnvMix(h, th.hotLookups);
+        fnvMix(h, th.uniqueHotIndices);
+    }
+    EXPECT_EQ(h, 0xb1e7a2d043933ed8ULL);
 }
 
 TEST(RunResult, QpsAndAmplificationMath)
