@@ -20,6 +20,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <utility>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "bench_common.h"
 #include "catalog/catalog.h"
 #include "engine/ev_cache.h"
+#include "engine/freq_sketch.h"
 #include "model/model_zoo.h"
 #include "workload/trace_gen.h"
 
@@ -172,6 +174,20 @@ BM_RmssdCacheHotTrace(benchmark::State &state)
 }
 BENCHMARK(BM_RmssdCacheHotTrace);
 
+/** 512 pre-generated samples of @p gen as one (table, index) stream. */
+std::vector<std::pair<TableId, EvIndex>>
+lookupStream(workload::TraceGenerator &gen)
+{
+    std::vector<std::pair<TableId, EvIndex>> stream;
+    for (int i = 0; i < 512; ++i) {
+        const model::Sample s = gen.next();
+        for (std::uint32_t t = 0; t < s.indices.size(); ++t)
+            for (const std::uint64_t idx : s.indices[t])
+                stream.emplace_back(TableId{t}, EvIndex{idx});
+    }
+    return stream;
+}
+
 /**
  * The EV cache alone, without flash, engine or serving loop: a TinyLFU
  * cache with per-table partitions at 1/4 of the hot set, probe then
@@ -188,14 +204,7 @@ BM_EvCacheLookupSkewed(benchmark::State &state)
     cc.admission = engine::EvCacheAdmission::TinyLfu;
     cc.tableShares =
         workload::planTableShares(gen.tableHistograms(50000));
-
-    std::vector<std::pair<TableId, EvIndex>> stream;
-    for (int i = 0; i < 512; ++i) {
-        const model::Sample s = gen.next();
-        for (std::uint32_t t = 0; t < s.indices.size(); ++t)
-            for (const std::uint64_t idx : s.indices[t])
-                stream.emplace_back(TableId{t}, EvIndex{idx});
-    }
+    const auto stream = lookupStream(gen);
 
     engine::EvCache cache(cc, Bytes{cfg.vectorBytes()});
     for (auto _ : state) {
@@ -211,6 +220,43 @@ BM_EvCacheLookupSkewed(benchmark::State &state)
     state.counters["hit_ratio"] = cache.hitRatio();
 }
 BENCHMARK(BM_EvCacheLookupSkewed);
+
+/**
+ * The TinyLFU sketch alone, sized as the sketch of
+ * BM_EvCacheLookupSkewed's cache: per stream key, the
+ * lookup's record, then the fill's admission test (candidate and
+ * victim estimates; the victim is the key half a stream away).
+ */
+void
+BM_FrequencySketchRecordEstimate(benchmark::State &state)
+{
+    const model::ModelConfig cfg = model::rmc1();
+    const workload::TraceConfig tc = workload::localityK(0.3);
+    workload::TraceGenerator gen(cfg, tc);
+    const engine::EvCacheConfig cc = cacheForTrace(cfg, tc, 4);
+    const std::uint64_t lines = cc.capacityBytes / Bytes{cfg.vectorBytes()};
+    engine::FrequencySketch sketch(lines * cc.sketchCountersPerLine,
+                                   lines * cc.sketchSamplePerLine);
+    // EvCache's key layout: table id above a 48-bit row index.
+    std::vector<std::uint64_t> keys;
+    for (const auto &[table, index] : lookupStream(gen))
+        keys.push_back((static_cast<std::uint64_t>(table.raw()) << 48) |
+                       index.raw());
+
+    const std::size_t half = keys.size() / 2;
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            sketch.record(keys[i]);
+            const bool admit =
+                sketch.estimate(keys[i]) >
+                sketch.estimate(keys[(i + half) % keys.size()]);
+            benchmark::DoNotOptimize(admit);
+        }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(keys.size()));
+}
+BENCHMARK(BM_FrequencySketchRecordEstimate);
 
 } // namespace
 

@@ -28,70 +28,59 @@ FrequencySketch::FrequencySketch(std::uint64_t counters,
     const std::uint64_t width =
         std::bit_ceil(std::max<std::uint64_t>(64, counters));
     mask_ = width - 1;
-    table_.assign(width / 2, 0); // two 4-bit counters per byte
+    table_.assign(width, 0);
 }
 
-std::uint64_t
-FrequencySketch::slotOf(std::uint64_t key, std::uint32_t row) const
+static_assert(FrequencySketch::kDepth == 4,
+              "slotsOf, record and estimate unroll four rows");
+
+FrequencySketch::Slots
+FrequencySketch::slotsOf(std::uint64_t key) const
 {
-    return mixRow(key, row) & mask_;
+    return {mixRow(key, 0) & mask_, mixRow(key, 1) & mask_,
+            mixRow(key, 2) & mask_, mixRow(key, 3) & mask_};
 }
 
 std::uint32_t
-FrequencySketch::counterAt(std::uint64_t slot) const
-{
-    const std::uint8_t byte = table_[slot >> 1];
-    return (slot & 1) ? (byte >> 4) : (byte & 0x0f);
-}
-
-void
-FrequencySketch::setCounterAt(std::uint64_t slot, std::uint32_t v)
-{
-    RMSSD_ASSERT(v <= kMaxCount, "sketch counter overflow");
-    std::uint8_t &byte = table_[slot >> 1];
-    if (slot & 1)
-        byte = static_cast<std::uint8_t>((byte & 0x0f) | (v << 4));
-    else
-        byte = static_cast<std::uint8_t>((byte & 0xf0) | v);
-}
-
-void
 FrequencySketch::record(std::uint64_t key)
 {
+    const Slots s = slotsOf(key);
+    std::uint8_t *const t = table_.data();
+    const std::uint8_t c0 = t[s[0]], c1 = t[s[1]], c2 = t[s[2]],
+                       c3 = t[s[3]];
     // Conservative update: only the row counters equal to the current
-    // minimum grow, which tightens the count-min overestimate.
-    std::uint32_t minCount = kMaxCount;
-    std::uint64_t slots[kDepth];
-    for (std::uint32_t row = 0; row < kDepth; ++row) {
-        slots[row] = slotOf(key, row);
-        minCount = std::min(minCount, counterAt(slots[row]));
-    }
-    if (minCount < kMaxCount) {
-        for (std::uint32_t row = 0; row < kDepth; ++row) {
-            if (counterAt(slots[row]) == minCount)
-                setCounterAt(slots[row], minCount + 1);
-        }
-    }
-    if (++additions_ >= sampleSize_)
+    // minimum grow, which tightens the count-min overestimate. Rows
+    // that alias one slot read the same value and write the same one.
+    const std::uint8_t minCount = std::min(std::min(c0, c1), std::min(c2, c3));
+    const auto next =
+        static_cast<std::uint8_t>(minCount + (minCount < kMaxCount));
+    RMSSD_ASSERT(next <= kMaxCount, "sketch counter overflow");
+    t[s[0]] = c0 == minCount ? next : c0;
+    t[s[1]] = c1 == minCount ? next : c1;
+    t[s[2]] = c2 == minCount ? next : c2;
+    t[s[3]] = c3 == minCount ? next : c3;
+    // Every row now holds >= next, and the minimal rows hold next;
+    // halving is monotone, so the halved minimum is next / 2.
+    if (++additions_ >= sampleSize_) {
         halve();
+        return next >> 1;
+    }
+    return next;
 }
 
 std::uint32_t
 FrequencySketch::estimate(std::uint64_t key) const
 {
-    std::uint32_t minCount = kMaxCount;
-    for (std::uint32_t row = 0; row < kDepth; ++row)
-        minCount = std::min(minCount, counterAt(slotOf(key, row)));
-    return minCount;
+    const Slots s = slotsOf(key);
+    const std::uint8_t *const t = table_.data();
+    return std::min(std::min(t[s[0]], t[s[1]]), std::min(t[s[2]], t[s[3]]));
 }
 
 void
 FrequencySketch::halve()
 {
-    // Halve both nibbles of every byte in one pass: clearing bit 3 of
-    // each nibble before the shift keeps the nibbles independent.
-    for (std::uint8_t &byte : table_)
-        byte = static_cast<std::uint8_t>((byte >> 1) & 0x77);
+    for (std::uint8_t &counter : table_)
+        counter >>= 1;
     additions_ /= 2;
     halvings_.inc();
 }

@@ -12,21 +12,24 @@
  * LRU victim when the incoming key is estimated to be *more* popular
  * than the line it would evict.
  *
- * The sketch is a flat array of 4-bit saturating counters (two per
- * byte); each key selects kDepth counters through independent
- * splitmix64-seeded hashes, is estimated as their minimum, and is
- * recorded with a conservative-update increment (only the minimal
- * counters grow). After sampleSize recorded accesses every counter is
- * halved, aging out stale popularity so the filter tracks workload
- * drift — the "periodic reset" of the TinyLFU paper. All state is a
- * few hundred KB of SRAM in the device budget; in the timing model
- * the sketch probe runs in parallel with the cache tag lookup and
- * adds no cycles.
+ * The sketch is a flat array of 4-bit saturating counters; each key
+ * selects kDepth counters through independent splitmix64-seeded
+ * hashes, is estimated as their minimum, and is recorded with a
+ * conservative-update increment (only the minimal counters grow).
+ * After sampleSize recorded accesses every counter is halved, aging
+ * out stale popularity so the filter tracks workload drift — the
+ * "periodic reset" of the TinyLFU paper. The modelled device holds
+ * 4-bit counters, a few hundred KB of SRAM in its budget; in the
+ * timing model the sketch probe runs in parallel with the cache tag
+ * lookup and adds no cycles. The simulator stores one counter per
+ * byte, so record and estimate are plain byte loads and selects with
+ * no sub-byte shifts or branches; the counts are the 4-bit ones.
  */
 
 #ifndef RMSSD_ENGINE_FREQ_SKETCH_H
 #define RMSSD_ENGINE_FREQ_SKETCH_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -50,8 +53,11 @@ class FrequencySketch
      */
     FrequencySketch(std::uint64_t counters, std::uint64_t sampleSize);
 
-    /** Count one access to @p key; may trigger the periodic halving. */
-    void record(std::uint64_t key);
+    /**
+     * Count one access to @p key; may trigger the periodic halving.
+     * @return estimate(key) after the record (and any halving)
+     */
+    std::uint32_t record(std::uint64_t key);
 
     /** Estimated access frequency of @p key in [0, kMaxCount]. */
     std::uint32_t estimate(std::uint64_t key) const;
@@ -68,12 +74,12 @@ class FrequencySketch
     void clear();
 
   private:
-    std::uint32_t counterAt(std::uint64_t slot) const;
-    void setCounterAt(std::uint64_t slot, std::uint32_t v);
-    std::uint64_t slotOf(std::uint64_t key, std::uint32_t row) const;
+    using Slots = std::array<std::uint64_t, kDepth>;
+    /** The key's counter index in each row. */
+    Slots slotsOf(std::uint64_t key) const;
     void halve();
 
-    std::vector<std::uint8_t> table_; //!< two 4-bit counters per byte
+    std::vector<std::uint8_t> table_; //!< one 4-bit counter per byte
     std::uint64_t mask_;              //!< numCounters - 1 (pow2 size)
     std::uint64_t sampleSize_;
     std::uint64_t additions_ = 0;

@@ -41,8 +41,7 @@ void
 FrequencyMapping::noteRead(PageId lpn)
 {
     ++observedReads_;
-    sketch_.record(lpn.raw());
-    if (sketch_.estimate(lpn.raw()) >= options_.candidateEstimate)
+    if (sketch_.record(lpn.raw()) >= options_.candidateEstimate)
         ++candidates_[lpn];
 }
 

@@ -1,6 +1,7 @@
 #include "workload/trace_gen.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <unordered_map>
 
@@ -157,26 +158,34 @@ TraceGenerator::tableHistograms(std::uint64_t lookupsPerTable) const
     // front of a run cannot change the trace the run sees.
     Rng rng(hashCombine(trace_.seed, 0x7ab1e815ULL));
 
+    // Distinct indices are counted in a flat linear-probing set at
+    // load <= 1/2, reused across tables. Row indices are below
+    // rowsPerTable, so ~0 marks an empty slot.
+    constexpr std::uint64_t kEmpty = ~0ULL;
     std::vector<TableHistogram> hist(config_.numTables);
-    std::unordered_map<std::uint64_t, std::uint64_t> counts;
+    std::vector<std::uint64_t> seen(
+        std::bit_ceil(std::max<std::uint64_t>(16, 2 * lookupsPerTable)));
+    const std::uint64_t mask = seen.size() - 1;
     for (std::uint32_t t = 0; t < config_.numTables; ++t) {
-        counts.clear();
-        counts.reserve(lookupsPerTable / 2);
+        std::fill(seen.begin(), seen.end(), kEmpty);
         TableHistogram &h = hist[t];
         h.totalLookups = lookupsPerTable;
         for (std::uint64_t i = 0; i < lookupsPerTable; ++i) {
             bool hotDraw = false;
             const std::uint64_t idx = drawIndexWith(rng, t, &hotDraw);
-            const bool first = ++counts[idx] == 1;
+            std::uint64_t slot = splitmix64(idx) & mask;
+            while (seen[slot] != kEmpty && seen[slot] != idx)
+                slot = (slot + 1) & mask;
+            const bool first = seen[slot] == kEmpty;
+            seen[slot] = idx;
+            h.uniqueIndices += first;
             // A hot draw lands in the hot set by construction; only a
             // uniform draw needs the membership search.
             if (hotDraw || isHotRow(t, idx)) {
                 ++h.hotLookups;
-                if (first)
-                    ++h.uniqueHotIndices;
+                h.uniqueHotIndices += first;
             }
         }
-        h.uniqueIndices = counts.size();
     }
     return hist;
 }

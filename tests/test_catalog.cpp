@@ -435,6 +435,92 @@ TEST(TenantFleet, TierBudgetsFollowSharesAndStayInPool)
     EXPECT_LE(fleet.tenantTierPlannedBytes(1).raw(), b.raw());
 }
 
+TEST(TenantFleet, EvCacheCarveFollowsSharesHotSetsAndLanes)
+{
+    // Per-table hot fractions over tables wider than the hot set give
+    // the tables distinct hot working sets (uniqueHotIndices).
+    std::vector<TenantSpec> specs = twoTenants();
+    for (TenantSpec &spec : specs) {
+        spec.config.withRowsPerTable(1u << 16);
+        spec.trace.tableHotFractions = {0.9, 0.1, 0.5, 0.3};
+    }
+    specs[0].cacheShare = 3.0;
+    specs[1].cacheShare = 1.0;
+    FleetOptions options;
+    options.device.evCache.enabled = true;
+    options.device.evCache.admission = engine::EvCacheAdmission::TinyLfu;
+    options.device.evCache.capacityBytes = Bytes{1u << 20};
+    TenantFleet fleet(std::move(specs), options);
+
+    const auto *device =
+        dynamic_cast<const engine::RmSsd *>(&fleet.backend());
+    ASSERT_NE(device, nullptr);
+    ASSERT_NE(device->evCache(), nullptr);
+    const std::vector<engine::EvCachePartition> &parts =
+        device->evCache()->partitions();
+    ASSERT_EQ(parts.size(), fleet.unionConfig().numTables);
+    std::uint64_t numSets = 0;
+    for (const engine::EvCachePartition &p : parts)
+        numSets += p.numSets;
+    const double spare = static_cast<double>(numSets - parts.size());
+
+    // Every slot gets a one-set floor plus its largest-remainder
+    // share of the spare sets: its quota exceeds its exact share of
+    // the spare by more than 0 and at most 2 sets.
+    constexpr double kEps = 1e-6;
+    const double shareSum = 3.0 + 1.0;
+    for (std::size_t i = 0; i < fleet.numTenants(); ++i) {
+        const TenantSpec &spec = fleet.tenant(i);
+        const auto hist =
+            workload::TraceGenerator(spec.config, spec.trace)
+                .tableHistograms(options.profileLookups);
+        std::vector<double> hot;
+        double hotSum = 0.0;
+        for (const auto &h : hist) {
+            hot.push_back(static_cast<double>(
+                std::max<std::uint64_t>(1, h.uniqueHotIndices)));
+            hotSum += hot.back();
+        }
+        ASSERT_GT(*std::max_element(hot.begin(), hot.end()),
+                  2.0 * *std::min_element(hot.begin(), hot.end()))
+            << "hot working sets should differ across tables";
+
+        const std::uint32_t lanes = fleet.unionLayout().lanes[i];
+        const std::vector<std::uint32_t> &slots = fleet.tenantSlots(i);
+        double tenantSets = 0.0;
+        for (std::uint32_t t = 0; t < spec.config.numTables; ++t) {
+            // Within the tenant the budget follows uniqueHotIndices;
+            // each lane of a wide table gets half the table's share.
+            const double exact = spare * spec.cacheShare / shareSum *
+                                 hot[t] / hotSum / lanes;
+            std::vector<std::uint32_t> laneSets;
+            for (std::uint32_t l = 0; l < lanes; ++l) {
+                const std::uint32_t sets =
+                    parts[slots[static_cast<std::size_t>(t) * lanes + l]]
+                        .numSets;
+                EXPECT_GT(sets, exact - kEps) << "tenant " << i << " t " << t;
+                EXPECT_LE(sets, exact + 2.0 + kEps)
+                    << "tenant " << i << " t " << t;
+                laneSets.push_back(sets);
+                tenantSets += sets;
+            }
+            EXPECT_LE(*std::max_element(laneSets.begin(), laneSets.end()) -
+                          *std::min_element(laneSets.begin(),
+                                            laneSets.end()),
+                      1u)
+                << "tenant " << i << " t " << t;
+        }
+        // The tenant's whole carve is its cacheShare of the pool (3:1).
+        const double tenantExact = spare * spec.cacheShare / shareSum;
+        EXPECT_GT(tenantSets, tenantExact - kEps) << "tenant " << i;
+        EXPECT_LE(tenantSets,
+                  tenantExact + 2.0 * static_cast<double>(slots.size()) +
+                      kEps)
+            << "tenant " << i;
+    }
+    EXPECT_EQ(fleet.unionLayout().lanes[1], 2u);
+}
+
 TEST(TenantFleet, StatsExportUnderTenantNamespaces)
 {
     TenantFleet fleet(twoTenants(), FleetOptions{});

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
+#include <vector>
 
 #include "engine/embedding_engine.h"
 #include "engine/ev_cache.h"
@@ -367,6 +369,134 @@ TEST(FrequencySketch, PeriodicHalvingDecays)
     EXPECT_EQ(sketch.halvings().value(), 1u);
     EXPECT_EQ(sketch.estimate(7), 4u); // (7+1)/2
     EXPECT_EQ(sketch.additions(), 4u);
+}
+
+/**
+ * Reference sketch: the original nibble-packed layout (two 4-bit
+ * counters per byte, branchy conservative update, masked halving)
+ * with the same slot function. The byte-wide FrequencySketch must
+ * match it estimate for estimate.
+ */
+class NibbleSketch
+{
+  public:
+    NibbleSketch(std::uint64_t counters, std::uint64_t sampleSize)
+        : sampleSize_(std::max<std::uint64_t>(1, sampleSize))
+    {
+        const std::uint64_t width =
+            std::bit_ceil(std::max<std::uint64_t>(64, counters));
+        mask_ = width - 1;
+        table_.assign(width / 2, 0);
+    }
+
+    void
+    record(std::uint64_t key)
+    {
+        std::uint32_t minCount = FrequencySketch::kMaxCount;
+        std::uint64_t slots[FrequencySketch::kDepth];
+        for (std::uint32_t row = 0; row < FrequencySketch::kDepth; ++row) {
+            slots[row] = slotOf(key, row);
+            minCount = std::min(minCount, counterAt(slots[row]));
+        }
+        if (minCount < FrequencySketch::kMaxCount) {
+            for (const std::uint64_t slot : slots)
+                if (counterAt(slot) == minCount)
+                    setCounterAt(slot, minCount + 1);
+        }
+        if (++additions_ >= sampleSize_) {
+            for (std::uint8_t &byte : table_)
+                byte = static_cast<std::uint8_t>((byte >> 1) & 0x77);
+            additions_ /= 2;
+            ++halvings_;
+        }
+    }
+
+    std::uint32_t
+    estimate(std::uint64_t key) const
+    {
+        std::uint32_t minCount = FrequencySketch::kMaxCount;
+        for (std::uint32_t row = 0; row < FrequencySketch::kDepth; ++row)
+            minCount = std::min(minCount, counterAt(slotOf(key, row)));
+        return minCount;
+    }
+
+    std::uint64_t numCounters() const { return mask_ + 1; }
+    std::uint64_t additions() const { return additions_; }
+    std::uint64_t halvings() const { return halvings_; }
+
+  private:
+    std::uint64_t
+    slotOf(std::uint64_t key, std::uint32_t row) const
+    {
+        std::uint64_t x = key + 0x9e3779b97f4a7c15ULL * (row + 1);
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+        return (x ^ (x >> 31)) & mask_;
+    }
+
+    std::uint32_t
+    counterAt(std::uint64_t slot) const
+    {
+        const std::uint8_t byte = table_[slot >> 1];
+        return (slot & 1) ? (byte >> 4) : (byte & 0x0f);
+    }
+
+    void
+    setCounterAt(std::uint64_t slot, std::uint32_t v)
+    {
+        std::uint8_t &byte = table_[slot >> 1];
+        if (slot & 1)
+            byte = static_cast<std::uint8_t>((byte & 0x0f) | (v << 4));
+        else
+            byte = static_cast<std::uint8_t>((byte & 0xf0) | v);
+    }
+
+    std::vector<std::uint8_t> table_;
+    std::uint64_t mask_;
+    std::uint64_t sampleSize_;
+    std::uint64_t additions_ = 0;
+    std::uint64_t halvings_ = 0;
+};
+
+TEST(FrequencySketchLockstep, MatchesNibbleReference)
+{
+    // 64 counters make the four rows of a key alias; 2^17 is the
+    // cached device's sketch size. Sample size 1 halves on every
+    // record, 8 often, and the large one never within a stream.
+    constexpr std::uint64_t kRecords = 4096;
+    for (const std::uint64_t counters : {64ULL, 256ULL, 1ULL << 17}) {
+        for (const std::uint64_t sample : {1ULL, 8ULL, 1ULL << 40}) {
+            for (const bool saturating : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "counters " << counters << " sample "
+                             << sample << " saturating " << saturating);
+                FrequencySketch sketch(counters, sample);
+                NibbleSketch ref(counters, sample);
+                ASSERT_EQ(sketch.numCounters(), ref.numCounters());
+                Rng rng(counters * 31 + sample);
+                for (std::uint64_t i = 0; i < kRecords; ++i) {
+                    // Zipf-skewed ranks over 512 keys (rank ~ 512 u^4),
+                    // or one key recorded past saturation.
+                    const double u = rng.nextDouble();
+                    const std::uint64_t key =
+                        saturating ? 42
+                                   : splitmix64(static_cast<std::uint64_t>(
+                                         512.0 * u * u * u * u));
+                    const std::uint32_t after = sketch.record(key);
+                    ref.record(key);
+                    ASSERT_EQ(after, ref.estimate(key)) << "record " << i;
+                    ASSERT_EQ(sketch.estimate(key), ref.estimate(key))
+                        << "record " << i;
+                    const std::uint64_t other =
+                        splitmix64(rng.nextBounded(512));
+                    ASSERT_EQ(sketch.estimate(other), ref.estimate(other))
+                        << "record " << i;
+                    ASSERT_EQ(sketch.additions(), ref.additions());
+                    ASSERT_EQ(sketch.halvings().value(), ref.halvings());
+                }
+            }
+        }
+    }
 }
 
 /** One-set TinyLFU cache of @p ways lines. */
